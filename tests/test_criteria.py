@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -328,6 +330,23 @@ def test_simulate_counts_deterministic():
     for ca, cb in zip(a.counts, b.counts):
         assert np.array_equal(ca, cb)
     assert all(int(c.sum()) == 2000 for c in a.counts)
+
+
+# Count grids of acceptance criterion 9 (isotropic(3, 0.9), 100000 shots
+# per setting) at its first two seeds, frozen from the scalar-loop
+# generator: SHA-256 over the stacked grids as little-endian int64.
+GOLDEN_SHOT_COUNTS = {
+    50000: "00eb80368021300e3ae5e010b2621df4da1fee3d091274ca7efef5f8db1feecb",
+    50001: "e73f0aaa7957f0e06bb7b503ffc1d6597d3f8702131f03f69013746b036993d7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SHOT_COUNTS))
+def test_simulate_counts_golden_grids(seed):
+    ms = optimal_mums(3)
+    est = simulate_counts(isotropic(3, 0.9), ms, conjugate_mums(ms), 100000, seed=seed)
+    grids = np.stack(est.counts).astype("<i8")
+    assert hashlib.sha256(grids.tobytes()).hexdigest() == GOLDEN_SHOT_COUNTS[seed]
 
 
 @pytest.mark.parametrize("seed", range(5))
