@@ -282,18 +282,20 @@ def simulate_counts(
         raise ValueError(f"need at least one shot per setting, got {shots_per_setting}")
     dists = setting_distributions(state, pset, qset)
     d = state.d
-    gen = Xoshiro256(seed)
+    # one stream for all settings, consumed back to back: setting k takes
+    # draws [k * shots_per_setting, (k + 1) * shots_per_setting)
+    draws = Xoshiro256(seed).uniforms(shots_per_setting * len(dists))
     counts = []
     j_estimate = 0.0
     var = 0.0
-    for q in dists:
+    for k, q in enumerate(dists):
         probs = np.clip(q.ravel(), 0.0, None)
         total = probs.sum()
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
         cdf = np.cumsum(probs / total)
         cdf[-1] = 1.0
-        u = gen.uniforms(shots_per_setting)
+        u = draws[k * shots_per_setting : (k + 1) * shots_per_setting]
         idx = np.searchsorted(cdf, u, side="right")
         grid = np.bincount(idx, minlength=d * d).reshape(d, d)
         counts.append(grid)

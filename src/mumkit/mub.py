@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reporting import VerificationReport
+from .reporting import VerificationReport, worst_defect
 
 
 class CompositeDimensionError(ValueError):
@@ -79,12 +79,12 @@ def verify_mub(bs: BasisSet, tol: float = 1e-10) -> VerificationReport:
     d = bs.d
     unitarity = 0.0
     for b in bs.bases:
-        unitarity = max(unitarity, float(np.abs(b.conj().T @ b - np.eye(d)).max()))
+        unitarity = worst_defect(unitarity, float(np.abs(b.conj().T @ b - np.eye(d)).max()))
     unbias = 0.0
     for i in range(bs.m):
         for j in range(i + 1, bs.m):
             overlaps = np.abs(bs.bases[i].conj().T @ bs.bases[j]) ** 2
-            unbias = max(unbias, float(np.abs(overlaps - 1.0 / d).max()))
+            unbias = worst_defect(unbias, float(np.abs(overlaps - 1.0 / d).max()))
     return VerificationReport(
         kind="mub-set",
         tol=tol,

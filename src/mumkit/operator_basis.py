@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import trace_product
-from .reporting import VerificationReport
+from .reporting import VerificationReport, worst_defect
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,15 @@ def verify_orthonormal_basis(basis: OperatorBasis, tol: float = 1e-10) -> Verifi
     herm = 0.0
     trace = 0.0
     for el in basis.elements:
-        herm = max(herm, float(np.abs(el - el.conj().T).max()))
-        trace = max(trace, abs(complex(np.trace(el))))
+        herm = worst_defect(herm, float(np.abs(el - el.conj().T).max()))
+        trace = worst_defect(trace, abs(complex(np.trace(el))))
     gram = 0.0
     n = len(basis.elements)
     for i in range(n):
         for j in range(i, n):
             tp = trace_product(basis.elements[i], basis.elements[j])
             target = 1.0 if i == j else 0.0
-            gram = max(gram, abs(tp - target))
+            gram = worst_defect(gram, abs(tp - target))
     return VerificationReport(
         kind="operator-basis",
         tol=tol,

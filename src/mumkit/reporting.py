@@ -2,7 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def worst_defect(acc: float, value: float) -> float:
+    """Running maximum of defects that keeps a non-finite value, as inf.
+
+    Plain ``max(acc, nan)`` returns ``acc``, so a NaN entry in a payload
+    would vanish from the report and let it pass.
+    """
+    return max(acc, value if math.isfinite(value) else math.inf)
 
 
 @dataclass(frozen=True)
@@ -10,7 +20,8 @@ class VerificationReport:
     """Named worst-case defects of a verified object against a tolerance.
 
     ``defects`` maps a condition name to the largest absolute violation
-    observed for it; the report passes iff every defect is within tol.
+    observed for it; the report passes iff every defect is finite and
+    within tol.
     ``details`` carries informational values (inferred parameters) that
     do not enter the pass decision.
     """
@@ -26,7 +37,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_defect <= self.tol
+        return all(math.isfinite(v) and v <= self.tol for v in self.defects.values())
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"

@@ -56,6 +56,25 @@ def test_verify_rejects_corrupted_mums(tmp_path, capsys):
     assert json.loads(stdout)["passed"] is False
 
 
+def _first_entry(payload):
+    # the first (re, im) pair of the first matrix of a basis or MUB payload
+    matrix = payload[0]["matrix"] if isinstance(payload, list) else payload["bases"][0]
+    return matrix["entries"][0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("argv", [["gen-basis", "--d", "3"], ["gen-mub", "--d", "3"]])
+def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, bad):
+    out = tmp_path / "artifact.json"
+    assert run(capsys, argv + ["-o", str(out)])[0] == 0
+    payload = json.loads(out.read_text())
+    _first_entry(payload)[0] = bad
+    out.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, ["verify", str(out)])
+    assert code == 3
+    assert json.loads(stdout)["passed"] is False
+
+
 def test_detect_isotropic_d6_entangled(capsys):
     code, stdout, _ = run(
         capsys,

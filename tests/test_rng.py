@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from mumkit import Xoshiro256
+from mumkit import rng
+
+_MASK = (1 << 64) - 1
 
 # Golden stream digests for seeds 0, 1, 50000 and 2**64 - 1, frozen from
 # the pure-Python scalar loop.  Each entry is SHA-256 over the
@@ -206,6 +209,60 @@ def test_rejects_negative_seed():
     except ValueError:
         return
     raise AssertionError("negative seed accepted")
+
+
+def reference_uniforms(gen: Xoshiro256, n: int):
+    """Test-local copy of the scalar xoshiro256++ loop: n uniforms and the final state."""
+    s0, s1, s2, s3 = gen._s0, gen._s1, gen._s2, gen._s3
+    out = np.empty(n)
+    for i in range(n):
+        x = (s0 + s3) & _MASK
+        r = ((((x << 23) | (x >> 41)) & _MASK) + s0) & _MASK
+        out[i] = (r >> 11) * 2.0**-53
+        t = (s1 << 17) & _MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+    return out, (s0, s1, s2, s3)
+
+
+def state(gen: Xoshiro256):
+    return gen._s0, gen._s1, gen._s2, gen._s3
+
+
+# q*M - 1, q*M, q*M + 1 for lane lengths M = 16 (around the scalar/lane
+# crossover), 32, 64 and 256; 1023 and 4095 also sit where M doubles.
+@pytest.mark.parametrize(
+    "n", [n + e for n in (512, 1024, 4096, 13952, 100096) for e in (-1, 0, 1)]
+)
+def test_uniforms_match_scalar_loop(n):
+    for seed in (3, 2**64 - 1):
+        gen = Xoshiro256(seed)
+        want, final = reference_uniforms(Xoshiro256(seed), n)
+        assert np.array_equal(gen.uniforms(n), want)
+        assert state(gen) == final
+
+
+@pytest.mark.parametrize(
+    "a, b", [(5, 3000), (3000, 5), (511, 1), (600, 700), (14000, 513), (0, 2592)]
+)
+def test_uniforms_continue_exactly(a, b):
+    gen = Xoshiro256(17)
+    split = np.concatenate([gen.uniforms(a), gen.uniforms(b)])
+    whole = Xoshiro256(17)
+    assert np.array_equal(split, whole.uniforms(a + b))
+    assert state(gen) == state(whole)
+
+
+def test_jump_matrices_are_packed_and_read_only():
+    Xoshiro256(1).uniforms(14000)
+    for k in range(14):
+        mat = rng._jump_matrix(k)
+        assert mat.shape == (256, 32) and mat.dtype == np.uint8
+        assert not mat.flags.writeable
 
 
 def stream_digest(seed: int, method: str, n: int) -> str:
