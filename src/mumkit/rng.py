@@ -8,9 +8,9 @@ same stream on every platform and with every numpy version, so seeded
 expected values frozen into the test suite never drift.
 
 ``uniforms(n)`` takes one of two paths with identical output and final
-state.  Below ``_CROSSOVER`` (512) draws it runs the pure-Python scalar
+state.  Below ``_CROSSOVER`` (768) draws it runs the pure-Python scalar
 loop, which is also the reference the tests hold the other path to.
-From 512 draws on it runs lane-parallel (Blackman & Vigna,
+From 768 draws on it runs lane-parallel (Blackman & Vigna,
 arXiv:1805.01407): the state update is linear over GF(2), a 256x256 bit
 matrix T, so the stream is cut into lanes of M consecutive draws (M the
 largest power of two not above sqrt(n)), lane start states are reached
@@ -42,11 +42,11 @@ _INV53 = 2.0 ** -53
 
 # Requests shorter than this many draws take the scalar loop: below it the
 # fixed cost of the lane path (jump-matrix products and array set-up,
-# about 0.13 ms) outweighs the loop's ~0.36 us per draw.  Lane time over
+# about 0.18 ms) outweighs the loop's ~0.37 us per draw.  Lane time over
 # loop time, measured on a 2-core x86 VM (Python 3.11, numpy 2.4,
-# OpenBLAS with one thread): 1.45 at 256 draws, 1.1 at 384, 1.0 at 448,
-# 0.87 at 512, 0.6 at 1024.
-_CROSSOVER = 512
+# OpenBLAS with one thread): 1.9 at 256 draws, 1.1 at 512, 1.05 at 640,
+# 0.89 at 768, 0.73 at 1024.
+_CROSSOVER = 768
 
 _R11, _R17, _R19, _R23, _R41, _R45 = (np.uint64(k) for k in (11, 17, 19, 23, 41, 45))
 
@@ -110,20 +110,20 @@ def _bits_to_words(bits: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
 
 
-def _gf2_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over GF(2) for 0/1 uint8 matrices.
+def _jump(k: int, bits: np.ndarray) -> np.ndarray:
+    """T^(2^k) @ bits over GF(2), for a (256, c) 0/1 uint8 array of states.
 
-    The float32 product is exact whatever the BLAS summation order: every
-    entry is a count of at most 256 ones, far inside float32's exact
-    integer range (2**24).
+    The product runs as a float32 BLAS product, which is exact whatever the
+    summation order: every entry counts at most 256 ones, far inside
+    float32's exact integer range (2**24).  The matrix is unpacked 64
+    columns at a time, so its float32 copy takes 64 KiB, not 256 KiB.
     """
-    counts = a.astype(np.float32) @ b.astype(np.float32)
+    packed = _jump_matrix(k)
+    counts = np.zeros((256, bits.shape[1]), dtype=np.float32)
+    for lo in range(0, 256, 64):
+        cols = np.unpackbits(packed[:, lo // 8 : (lo + 64) // 8], axis=1).astype(np.float32)
+        counts += cols @ bits[lo : lo + 64].astype(np.float32)
     return (counts.astype(np.uint16) & 1).astype(np.uint8)
-
-
-def _jump_bits(k: int) -> np.ndarray:
-    """T^(2^k) as a (256, 256) 0/1 uint8 matrix."""
-    return np.unpackbits(_jump_matrix(k), axis=1)
 
 
 @functools.cache
@@ -140,7 +140,9 @@ def _jump_matrix(k: int) -> np.ndarray:
         _step_lanes(*words, np.empty((1, 256), dtype=np.uint64), 1)
         bits = _words_to_bits(words)
     else:
-        bits = _gf2_product(_jump_bits(k - 1), _jump_bits(k - 1))
+        # squared 64 columns at a time, for the same bound on temporaries
+        half = np.unpackbits(_jump_matrix(k - 1), axis=1)
+        bits = np.concatenate([_jump(k - 1, half[:, lo : lo + 64]) for lo in range(0, 256, 64)], axis=1)
     packed = np.packbits(bits, axis=1)
     packed.flags.writeable = False
     return packed
@@ -159,7 +161,7 @@ def _lane_uniforms(state: tuple[int, int, int, int], n: int):
     bits = _words_to_bits(np.array(state, dtype=np.uint64)[:, None])
     k = m.bit_length() - 1
     while bits.shape[1] < lanes:
-        ahead = _gf2_product(_jump_bits(k), bits[:, : lanes - bits.shape[1]])
+        ahead = _jump(k, bits[:, : lanes - bits.shape[1]])
         bits = np.concatenate([bits, ahead], axis=1)
         k += 1
     raw = np.empty((m, lanes), dtype=np.uint64)

@@ -233,10 +233,11 @@ def state(gen: Xoshiro256):
     return gen._s0, gen._s1, gen._s2, gen._s3
 
 
-# q*M - 1, q*M, q*M + 1 for lane lengths M = 16 (around the scalar/lane
-# crossover), 32, 64 and 256; 1023 and 4095 also sit where M doubles.
+# q*M - 1, q*M, q*M + 1 for lane lengths M = 16 (at the scalar/lane
+# crossover, 768 = 48 * 16), 32, 64 and 256; 1023 and 4095 also sit
+# where M doubles.
 @pytest.mark.parametrize(
-    "n", [n + e for n in (512, 1024, 4096, 13952, 100096) for e in (-1, 0, 1)]
+    "n", [n + e for n in (rng._CROSSOVER, 1024, 4096, 13952, 100096) for e in (-1, 0, 1)]
 )
 def test_uniforms_match_scalar_loop(n):
     for seed in (3, 2**64 - 1):
@@ -247,7 +248,7 @@ def test_uniforms_match_scalar_loop(n):
 
 
 @pytest.mark.parametrize(
-    "a, b", [(5, 3000), (3000, 5), (511, 1), (600, 700), (14000, 513), (0, 2592)]
+    "a, b", [(5, 3000), (3000, 5), (767, 1), (700, 800), (14000, 513), (0, 2592)]
 )
 def test_uniforms_continue_exactly(a, b):
     gen = Xoshiro256(17)
