@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -31,6 +32,37 @@ def test_generated_artifacts_pass_verify(tmp_path, capsys, argv):
     code, stdout, err = run(capsys, ["verify", str(out)])
     assert code == 0, err
     assert json.loads(stdout)["passed"] is True
+
+
+# SHA-256 of generated artifacts, frozen before the verifiers and the
+# output writer were rewritten; the bytes must not move.
+FROZEN_ARTIFACTS = {
+    ("gen-basis", "--d", "3"):
+        "5d1febc7cab7e7a97ea8506271425b30c9dd3fe1b80574dcfd44861bb6e6053b",
+    ("gen-basis", "--d", "6"):
+        "60298ccd1e669518d0134763d58d1ff04b2d11a9f6d549aebc43a2384a5e8a12",
+    ("gen-mums", "--d", "3"):
+        "d47fd23b85e17c9a2b53efec2094266cc5e05f4f0ead76b6e58254f9850a2d7d",
+    ("gen-mums", "--d", "6"):
+        "f1545e78f19338fd60402c934425785592e9c8afd11db4df7a06f0e962470df8",
+    ("gen-mub", "--d", "3"):
+        "1ad4bb1442f29f483c3c5c503cc85ed1c320c03850796934a849ba286daf5188",
+    # no complete MUB set is built for composite d = 6; d = 7 stands in
+    ("gen-mub", "--d", "7"):
+        "5e10b3bf00595c90dd15112acbaf74205916b2d51033b9c141ad8132bbeac96a",
+    ("gen-state", "--family", "isotropic", "--d", "3", "--alpha", "0.3"):
+        "16955b6b190efc8c2e54d667186b3bdda08dc37693e7cbe02eab8536475053e2",
+    ("gen-state", "--family", "isotropic", "--d", "6", "--alpha", "0.3"):
+        "27dd2521330cfb5fad90448a2ea2a17f224812f5ab0bf968708824720a4537ee",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_ARTIFACTS), ids=" ".join)
+def test_generated_artifact_bytes_are_frozen(tmp_path, capsys, argv):
+    out = tmp_path / "artifact.json"
+    code, _, err = run(capsys, list(argv) + ["-o", str(out)])
+    assert code == 0, err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_ARTIFACTS[argv]
 
 
 def test_gen_state_bell_diagonal_round_trip(tmp_path, capsys):
