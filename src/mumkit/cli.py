@@ -8,6 +8,8 @@ Errors are a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -295,11 +297,29 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
 
 
 def _write(text: str, output: str | None) -> None:
+    """Write text to stdout, or overwrite the file ``output`` in place.
+
+    The file is opened without O_TRUNC and cut to the written length
+    afterwards.  On ext4 (default ``auto_da_alloc``) truncating a file
+    that holds data on open makes the kernel flush it, which blocked
+    each rewrite for tens of milliseconds; writing over the old bytes
+    does not.  A symlink is followed, the inode and mode are kept, and
+    a device such as /dev/null, which cannot be truncated, is only
+    written.
+    """
     if output is None:
         sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _cmd_gen_basis(args) -> int:
