@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import trace_product
 from .operator_basis import OperatorBasis, grouped_gell_mann_basis, verify_orthonormal_basis
-from .reporting import VerificationReport
+from .reporting import VerificationReport, min_eigenvalues, operator_defects, worst
 
 
 class PositivityError(ValueError):
@@ -84,24 +83,25 @@ def t_from_kappa(d: int, kappa: float, sign: str = "+") -> float:
 _BUILD_PSD_TOL = 1e-12
 
 
-def _measurement_operators(basis: OperatorBasis, t: float) -> list[list[np.ndarray]]:
+def _measurement_directions(basis: OperatorBasis):
+    """Yield F_n^(b) for each family b = 1..d+1, as a (d, d, d) stack indexed by n - 1."""
     d = basis.d
-    eye = np.eye(d, dtype=complex)
-    rows = []
     for b in range(1, d + 2):
         fam = basis.family(b)
         if len(fam) != d - 1:
             raise ValueError(f"family b={b} has {len(fam)} elements, expected {d - 1}")
         fb = sum(fam)
-        row = []
-        for n in range(1, d + 1):
-            if n < d:
-                fn = fb - (d + np.sqrt(d)) * fam[n - 1]
-            else:
-                fn = (1.0 + np.sqrt(d)) * fb
-            row.append(eye / d + t * fn)
-        rows.append(row)
-    return rows
+        f = np.empty((d, d, d), dtype=complex)
+        f[:-1] = fb - (d + np.sqrt(d)) * np.asarray(fam)
+        f[-1] = (1.0 + np.sqrt(d)) * fb
+        yield f
+
+
+def _verified(basis: OperatorBasis) -> OperatorBasis:
+    report = verify_orthonormal_basis(basis)
+    if not report.passed:
+        raise ValueError(f"operator basis failed verification: {report.summary()}")
+    return basis
 
 
 def build_mums(basis: OperatorBasis, t: float) -> MumSet:
@@ -110,19 +110,13 @@ def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     Raises :class:`PositivityError` (reporting the worst offender) if any
     element dips below -1e-12 in its spectrum.
     """
-    report = verify_orthonormal_basis(basis)
-    if not report.passed:
-        raise ValueError(f"operator basis failed verification: {report.summary()}")
-    d = basis.d
-    rows = _measurement_operators(basis, t)
-    worst = (0.0, 0, 0)
-    for b in range(d + 1):
-        for n in range(d):
-            ev = float(np.linalg.eigvalsh(rows[b][n]).min())
-            if ev < worst[0]:
-                worst = (ev, n + 1, b + 1)
-    if worst[0] < -_BUILD_PSD_TOL:
-        raise PositivityError(d, t, worst[1], worst[2], worst[0])
+    d = _verified(basis).d
+    eye = np.eye(d, dtype=complex)
+    rows = [eye / d + t * f for f in _measurement_directions(basis)]
+    lam = np.array([min_eigenvalues(row) for row in rows])
+    b, n = np.unravel_index(np.argmin(lam), lam.shape)
+    if lam[b, n] < -_BUILD_PSD_TOL:
+        raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
     return MumSet(
         d=d,
         elements=tuple(tuple(row) for row in rows),
@@ -137,33 +131,19 @@ def optimal_mums(d: int) -> MumSet:
     return build_mums(grouped_gell_mann_basis(d), t_from_kappa(d, optimal_kappa(d)))
 
 
-def max_valid_t(basis: OperatorBasis, resolution: float = 1e-12) -> float:
-    """Largest t > 0 keeping all measurement operators PSD, by bisection.
+def max_valid_t(basis: OperatorBasis) -> float:
+    """Largest t > 0 keeping all measurement operators PSD, in closed form.
 
-    The bracket starts at [0, 1]; t = 1 is far beyond feasibility for any
-    basis of order-one operators.
+    P_n^(b) = I/d + t F_n^(b) has smallest eigenvalue 1/d + t lambda, with
+    lambda the smallest eigenvalue of F_n^(b), so every P stays PSD up to
+    t = 1 / (d |lambda_min|), lambda_min taken over all n and b.
     """
-    report = verify_orthonormal_basis(basis)
-    if not report.passed:
-        raise ValueError(f"operator basis failed verification: {report.summary()}")
-    d = basis.d
-
-    def feasible(t: float) -> bool:
-        rows = _measurement_operators(basis, t)
-        return all(
-            float(np.linalg.eigvalsh(p).min()) >= -_BUILD_PSD_TOL for row in rows for p in row
-        )
-
-    lo, hi = 0.0, 1.0
-    if feasible(hi):
-        raise ValueError("bisection bracket invalid: t = 1 is unexpectedly feasible")
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    d = _verified(basis).d
+    lam = min(float(min_eigenvalues(f).min()) for f in _measurement_directions(basis))
+    if not lam < 0.0:
+        raise ValueError(f"no measurement direction has a negative eigenvalue (min {lam!r}); "
+                         "t is unbounded")
+    return 1.0 / (d * -lam)
 
 
 def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
@@ -175,51 +155,23 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
     """
     d = ms.d
     eye = np.eye(d)
-    herm = 0.0
-    psd = 0.0
-    trace_one = 0.0
-    completeness = 0.0
-    for row in ms.elements:
-        total = sum(row)
-        completeness = max(completeness, float(np.abs(total - eye).max()))
-        for p in row:
-            herm = max(herm, float(np.abs(p - p.conj().T).max()))
-            psd = max(psd, max(0.0, -float(np.linalg.eigvalsh(p).min())))
-            trace_one = max(trace_one, abs(complex(np.trace(p)) - 1.0))
-
-    purities = [
-        float(trace_product(p, p).real) for row in ms.elements for p in row
-    ]
+    k = operator_defects(ms.elements, cross_target=1.0 / d, eigenvalues=True)
+    purities = np.concatenate([np.diagonal(g).real for g in k.same])
     kappa_inferred = float(np.mean(purities))
-    kappa_spread = float(max(abs(p - kappa_inferred) for p in purities))
-
-    cross = 0.0
-    offdiag = 0.0
     off_target = (1.0 - kappa_inferred) / (d - 1)
-    for b1 in range(d + 1):
-        for b2 in range(b1, d + 1):
-            for n1 in range(d):
-                for n2 in range(d):
-                    if b1 == b2 and n2 < n1:
-                        continue
-                    tp = trace_product(ms.elements[b1][n1], ms.elements[b2][n2])
-                    if b1 != b2:
-                        cross = max(cross, abs(tp - 1.0 / d))
-                    elif n1 != n2:
-                        offdiag = max(offdiag, abs(tp - off_target))
-
+    upper = np.triu_indices(d, 1)
     return VerificationReport(
         kind="mum-set",
         tol=tol,
         defects={
-            "hermiticity": herm,
-            "psd": psd,
-            "trace_one": trace_one,
-            "completeness": completeness,
-            "cross_basis": cross,
-            "purity_spread": kappa_spread,
-            "off_diagonal": offdiag,
-            "stored_kappa": abs(kappa_inferred - ms.kappa),
+            "hermiticity": k.hermiticity,
+            "psd": worst(np.minimum(k.min_eigenvalues, 0.0)),
+            "trace_one": worst(k.traces - 1.0),
+            "completeness": max(worst(sum(row) - eye) for row in ms.elements),
+            "cross_basis": k.cross,
+            "purity_spread": worst(purities - kappa_inferred),
+            "off_diagonal": max(worst(g[upper] - off_target) for g in k.same),
+            "stored_kappa": worst(kappa_inferred - ms.kappa),
         },
         details={"kappa_inferred": kappa_inferred},
     )

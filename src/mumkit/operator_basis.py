@@ -25,8 +25,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import trace_product
-from .reporting import VerificationReport, worst_defect
+from .reporting import VerificationReport, operator_defects, worst
+
+# A basis is checked in chunks of at most this many matrix entries, the
+# size of one measurement family at d = 16, so the kernel's temporaries
+# stay that small at any d.
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -200,20 +204,12 @@ def weyl_operators(d: int) -> list[list[np.ndarray]]:
 
 def verify_orthonormal_basis(basis: OperatorBasis, tol: float = 1e-10) -> VerificationReport:
     """Check Hermiticity, tracelessness and trace orthonormality of a basis."""
-    herm = 0.0
-    trace = 0.0
-    for el in basis.elements:
-        herm = worst_defect(herm, float(np.abs(el - el.conj().T).max()))
-        trace = worst_defect(trace, abs(complex(np.trace(el))))
-    gram = 0.0
-    n = len(basis.elements)
-    for i in range(n):
-        for j in range(i, n):
-            tp = trace_product(basis.elements[i], basis.elements[j])
-            target = 1.0 if i == j else 0.0
-            gram = worst_defect(gram, abs(tp - target))
+    els = basis.elements
+    size = max(1, _CHUNK_ENTRIES // els[0].size)
+    k = operator_defects([els[i:i + size] for i in range(0, len(els), size)])
+    gram = max([k.cross] + [worst(g - np.eye(len(g))) for g in k.same])
     return VerificationReport(
         kind="operator-basis",
         tol=tol,
-        defects={"hermiticity": herm, "trace": trace, "orthonormality": gram},
+        defects={"hermiticity": k.hermiticity, "trace": worst(k.traces), "orthonormality": gram},
     )

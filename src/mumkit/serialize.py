@@ -8,6 +8,7 @@ loading reproduces every double exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -120,18 +121,25 @@ def report_to_obj(report: DetectionReport) -> dict:
     }
 
 
+def _finite_or_null(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def verification_report_to_obj(report: VerificationReport) -> dict:
+    """Report as JSON; a non-finite defect or detail is written as null."""
     return {
         "kind": report.kind,
         "tol": float(report.tol),
         "passed": bool(report.passed),
-        "defects": {k: float(v) for k, v in report.defects.items()},
-        "details": {k: float(v) for k, v in report.details.items()},
+        "defects": {k: _finite_or_null(v) for k, v in report.defects.items()},
+        "details": {k: _finite_or_null(v) for k, v in report.details.items()},
     }
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj) + "\n"
+    """Strict JSON text: a NaN or infinite float raises ValueError, never a bare token."""
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def load_path(path: str):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .linalg import require_hermitian
 from .operator_basis import weyl_operators
-from .reporting import VerificationReport
+from .reporting import VerificationReport, min_eigenvalues, worst
 from .rng import Xoshiro256
 
 TRACE_TOL = 1e-10
@@ -136,14 +136,15 @@ def verify_state(state: BipartiteState, tol: float = 1e-9) -> VerificationReport
             f"density matrix for d={state.d} must be {state.d ** 2} x {state.d ** 2}, "
             f"got {rho.shape}"
         )
-    herm = float(np.abs(rho - rho.conj().T).max())
-    trace = abs(complex(np.trace(rho)) - 1.0)
     sym = 0.5 * (rho + rho.conj().T)
-    psd = max(0.0, -float(np.linalg.eigvalsh(sym).min()))
     return VerificationReport(
         kind="bipartite-state",
         tol=tol,
-        defects={"hermiticity": herm, "trace": trace, "psd": psd},
+        defects={
+            "hermiticity": worst(rho - rho.conj().T),
+            "trace": worst(np.trace(rho) - 1.0),
+            "psd": worst(np.minimum(min_eigenvalues(sym[None]), 0.0)),
+        },
     )
 
 

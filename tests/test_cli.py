@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -89,14 +91,37 @@ def test_verify_rejects_corrupted_mums(tmp_path, capsys):
 
 
 def _first_entry(payload):
-    # the first (re, im) pair of the first matrix of a basis or MUB payload
-    matrix = payload[0]["matrix"] if isinstance(payload, list) else payload["bases"][0]
-    return matrix["entries"][0]
+    # the first (re, im) pair of the first matrix of any generated payload
+    if isinstance(payload, list):
+        return payload[0]["matrix"]["entries"][0]
+    if "elements" in payload:
+        return payload["elements"][0][0]["entries"][0]
+    if "bases" in payload:
+        return payload["bases"][0]["entries"][0]
+    return payload["rho"]["entries"][0]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"bare {name} token in JSON output")
+
+
+PAYLOAD_KINDS = {
+    "gen-basis": "operator-basis",
+    "gen-mub": "mub-set",
+    "gen-mums": "mum-set",
+    "gen-state": "bipartite-state",
+}
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("argv", [["gen-basis", "--d", "3"], ["gen-mub", "--d", "3"]])
+@pytest.mark.parametrize("argv", [
+    ["gen-basis", "--d", "3"],
+    ["gen-mub", "--d", "3"],
+    ["gen-mums", "--d", "3"],
+    ["gen-state", "--family", "isotropic", "--d", "3", "--alpha", "0.3"],
+])
 def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, bad):
+    kind = PAYLOAD_KINDS[argv[0]]
     out = tmp_path / "artifact.json"
     assert run(capsys, argv + ["-o", str(out)])[0] == 0
     payload = json.loads(out.read_text())
@@ -104,7 +129,14 @@ def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, bad):
     out.write_text(json.dumps(payload))
     code, stdout, _ = run(capsys, ["verify", str(out)])
     assert code == 3
-    assert json.loads(stdout)["passed"] is False
+    # strict JSON: a non-finite defect is null, never a bare NaN/Infinity token
+    report = json.loads(stdout, parse_constant=_reject_constant)
+    assert report["passed"] is False
+    assert report["kind"] == kind
+    assert None in report["defects"].values()
+    if kind != "mub-set":
+        # the entry sits on the diagonal, where inf - inf is NaN
+        assert report["defects"]["hermiticity"] is None
 
 
 def test_detect_isotropic_d6_entangled(capsys):
@@ -318,3 +350,50 @@ def test_random_separable_state_requires_seed(capsys):
     code, _, err = run(capsys, ["gen-state", "--family", "random-separable", "--d", "2"])
     assert code == 2
     assert "seed" in err
+
+
+GEN_MUMS_D3 = ["gen-mums", "--d", "3"]
+
+
+def test_output_shorter_than_existing_file_leaves_only_new_bytes(tmp_path, capsys):
+    out = tmp_path / "mums.json"
+    out.write_bytes(b"x" * 100000)
+    code, _, err = run(capsys, GEN_MUMS_D3 + ["-o", str(out)])
+    assert code == 0, err
+    code, stdout, _ = run(capsys, GEN_MUMS_D3)
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_output_through_symlink_writes_target_and_keeps_link(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old contents that are longer than nothing")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(capsys, GEN_MUMS_D3 + ["-o", str(link)])[0] == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert run(capsys, ["verify", str(target)])[0] == 0
+
+
+def test_output_keeps_file_mode_and_inode(tmp_path, capsys):
+    out = tmp_path / "mums.json"
+    out.write_text("{}")
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    assert run(capsys, GEN_MUMS_D3 + ["-o", str(out)])[0] == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.stat().st_ino == inode
+
+
+def test_sweep_written_twice_equals_stdout(tmp_path, capsys):
+    argv = ["sweep", "--family", "isotropic", "--d", "3", "--param", "0:1:0.05"]
+    out = tmp_path / "sweep.csv"
+    for _ in range(2):
+        assert run(capsys, argv + ["-o", str(out)])[0] == 0
+    code, stdout, _ = run(capsys, argv)
+    assert code == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+
+
+def test_output_to_dev_null_exits_0(capsys):
+    assert run(capsys, GEN_MUMS_D3 + ["-o", os.devnull])[0] == 0

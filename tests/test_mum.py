@@ -223,3 +223,46 @@ def test_pure_state_probability_square_sum(make):
             float(trace_product(p, rho).real) ** 2 for row in ms.elements for p in row
         )
         assert total == pytest.approx(1.0 + ms.kappa, abs=1e-9)
+
+
+def _bisection_max_valid_t(basis, resolution=1e-12):
+    # the bisection max_valid_t replaced, kept here as its oracle
+    d = basis.d
+    eye = np.eye(d, dtype=complex)
+
+    def feasible(t):
+        for b in range(1, d + 2):
+            fam = basis.family(b)
+            fb = sum(fam)
+            for n in range(1, d + 1):
+                fn = fb - (d + np.sqrt(d)) * fam[n - 1] if n < d else (1.0 + np.sqrt(d)) * fb
+                if float(np.linalg.eigvalsh(eye / d + t * fn).min()) < -1e-12:
+                    return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    assert not feasible(hi)
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", list(range(2, 9)))
+def test_max_valid_t_closed_form_matches_bisection(make, d):
+    basis = make(d)
+    assert max_valid_t(basis) == pytest.approx(_bisection_max_valid_t(basis), abs=1e-12)
+
+
+def test_max_valid_t_needs_a_negative_direction(monkeypatch):
+    import mumkit.mum as mum
+
+    d = 3
+    monkeypatch.setattr(mum, "_measurement_directions",
+                        lambda basis: [np.zeros((d, d, d), dtype=complex)] * (d + 1))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        max_valid_t(grouped_gell_mann_basis(d))

@@ -1,0 +1,193 @@
+"""The batched defect kernel against copies of the per-element loops it replaced."""
+
+import math
+
+import numpy as np
+import pytest
+
+from mumkit import (
+    MumSet,
+    PositivityError,
+    build_mums,
+    gell_mann_basis,
+    grouped_gell_mann_basis,
+    max_valid_t,
+    mub_prime,
+    mums_from_mubs,
+    trace_product,
+    verify_mub,
+    verify_mums,
+    verify_orthonormal_basis,
+)
+from mumkit.reporting import min_eigenvalues, worst
+
+
+def _loop_verify_mums(ms):
+    d = ms.d
+    eye = np.eye(d)
+    herm = psd = trace_one = completeness = 0.0
+    for row in ms.elements:
+        completeness = max(completeness, float(np.abs(sum(row) - eye).max()))
+        for p in row:
+            herm = max(herm, float(np.abs(p - p.conj().T).max()))
+            psd = max(psd, max(0.0, -float(np.linalg.eigvalsh(p).min())))
+            trace_one = max(trace_one, abs(complex(np.trace(p)) - 1.0))
+    purities = [float(trace_product(p, p).real) for row in ms.elements for p in row]
+    kappa_inferred = float(np.mean(purities))
+    kappa_spread = float(max(abs(p - kappa_inferred) for p in purities))
+    cross = offdiag = 0.0
+    off_target = (1.0 - kappa_inferred) / (d - 1)
+    for b1 in range(d + 1):
+        for b2 in range(b1, d + 1):
+            for n1 in range(d):
+                for n2 in range(d):
+                    if b1 == b2 and n2 < n1:
+                        continue
+                    tp = trace_product(ms.elements[b1][n1], ms.elements[b2][n2])
+                    if b1 != b2:
+                        cross = max(cross, abs(tp - 1.0 / d))
+                    elif n1 != n2:
+                        offdiag = max(offdiag, abs(tp - off_target))
+    return {
+        "hermiticity": herm,
+        "psd": psd,
+        "trace_one": trace_one,
+        "completeness": completeness,
+        "cross_basis": cross,
+        "purity_spread": kappa_spread,
+        "off_diagonal": offdiag,
+        "stored_kappa": abs(kappa_inferred - ms.kappa),
+    }, kappa_inferred
+
+
+def _loop_verify_basis(basis):
+    herm = trace = gram = 0.0
+    for el in basis.elements:
+        herm = max(herm, float(np.abs(el - el.conj().T).max()))
+        trace = max(trace, abs(complex(np.trace(el))))
+    n = len(basis.elements)
+    for i in range(n):
+        for j in range(i, n):
+            tp = trace_product(basis.elements[i], basis.elements[j])
+            gram = max(gram, abs(tp - (1.0 if i == j else 0.0)))
+    return {"hermiticity": herm, "trace": trace, "orthonormality": gram}
+
+
+def _loop_verify_mub(bs):
+    d = bs.d
+    unitarity = unbias = 0.0
+    for b in bs.bases:
+        unitarity = max(unitarity, float(np.abs(b.conj().T @ b - np.eye(d)).max()))
+    for i in range(bs.m):
+        for j in range(i + 1, bs.m):
+            overlaps = np.abs(bs.bases[i].conj().T @ bs.bases[j]) ** 2
+            unbias = max(unbias, float(np.abs(overlaps - 1.0 / d).max()))
+    return {"unitarity": unitarity, "unbiasedness": unbias}
+
+
+def _perturbed(ms, b, n, i, j):
+    rows = [list(row) for row in ms.elements]
+    p = rows[b][n].copy()
+    p[i, j] += 0.05
+    rows[b][n] = p
+    return MumSet(d=ms.d, elements=tuple(tuple(r) for r in rows), kappa=ms.kappa, t=ms.t)
+
+
+def _mum_sets():
+    for d in range(2, 9):
+        for make in (gell_mann_basis, grouped_gell_mann_basis):
+            basis = make(d)
+            ms = build_mums(basis, max_valid_t(basis))
+            yield f"{make.__name__}-{d}", ms
+            # a diagonal and an off-diagonal entry of elements inside the grid
+            yield f"{make.__name__}-{d}-diag", _perturbed(ms, d // 2, d - 1, 0, 0)
+            yield f"{make.__name__}-{d}-offdiag", _perturbed(ms, d, 1, 0, d - 1)
+    for d in (2, 3, 5, 7):
+        ms = mums_from_mubs(mub_prime(d))
+        yield f"mub-{d}", ms
+        yield f"mub-{d}-offdiag", _perturbed(ms, 1, 0, d - 1, 0)
+
+
+MUM_SETS = dict(_mum_sets())
+
+
+@pytest.mark.parametrize("name", sorted(MUM_SETS))
+def test_verify_mums_matches_loops(name):
+    ms = MUM_SETS[name]
+    report = verify_mums(ms)
+    expected, kappa_inferred = _loop_verify_mums(ms)
+    assert list(report.defects) == list(expected)
+    for key, value in expected.items():
+        assert report.defects[key] == pytest.approx(value, abs=1e-14), key
+    assert report.details["kappa_inferred"] == pytest.approx(kappa_inferred, abs=1e-14)
+    assert report.passed == all(v <= report.tol for v in expected.values())
+    assert report.passed == (not name.endswith("diag"))
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", [2, 3, 6, 17])
+def test_verify_basis_matches_loops(make, d):
+    # d = 17 spreads the basis over several chunks, the last one partial
+    basis = make(d)
+    els = list(basis.elements)
+    for basis_case in (basis, type(basis)(d=d, elements=tuple(els[:-1] + [els[0]]),
+                                          labels=basis.labels)):
+        report = verify_orthonormal_basis(basis_case)
+        expected = _loop_verify_basis(basis_case)
+        for key, value in expected.items():
+            assert report.defects[key] == pytest.approx(value, abs=1e-14), key
+        assert report.passed == all(v <= report.tol for v in expected.values())
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_verify_mub_matches_loops(d):
+    bs = mub_prime(d)
+    bent = bs.bases[1].copy()
+    bent[0, 0] += 0.05
+    for case in (bs, type(bs)(d=d, bases=(bs.bases[0], bent) + bs.bases[2:])):
+        report = verify_mub(case)
+        for key, value in _loop_verify_mub(case).items():
+            assert report.defects[key] == pytest.approx(value, abs=1e-14), key
+
+
+def _loop_worst_offender(ms_rows):
+    worst_ev = (0.0, 0, 0)
+    for b, row in enumerate(ms_rows):
+        for n, p in enumerate(row):
+            ev = float(np.linalg.eigvalsh(p).min())
+            if ev < worst_ev[0]:
+                worst_ev = (ev, n + 1, b + 1)
+    return worst_ev
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", list(range(2, 9)))
+def test_positivity_error_names_worst_offender(make, d):
+    basis = make(d)
+    t = 1.5 * max_valid_t(basis)
+    with pytest.raises(PositivityError) as err:
+        build_mums(basis, t)
+    eye = np.eye(d, dtype=complex)
+    rows = []
+    for b in range(1, d + 2):
+        fam = basis.family(b)
+        fb = sum(fam)
+        rows.append([eye / d + t * (fb - (d + np.sqrt(d)) * fam[n] if n < d - 1
+                                    else (1.0 + np.sqrt(d)) * fb) for n in range(d)])
+    ev, n, b = _loop_worst_offender(rows)
+    assert (err.value.n, err.value.b) == (n, b)
+    assert err.value.min_eigenvalue == ev
+
+
+def test_worst_is_fail_closed():
+    assert worst(np.array([0.5, -2.0])) == 2.0
+    assert worst(np.array([])) == 0.0
+    assert worst(np.array([0.1, np.nan])) == math.inf
+    assert worst(np.array([np.inf - np.inf])) == math.inf
+    assert worst(0.25 + 0j) == 0.25
+
+
+def test_min_eigenvalues_guards_non_finite_matrices():
+    stack = np.array([np.diag([2.0, -1.0]), np.diag([np.nan, 1.0]), np.eye(2)], dtype=complex)
+    assert list(min_eigenvalues(stack)) == [-1.0, -math.inf, 1.0]
+    assert list(min_eigenvalues(stack[1:2])) == [-math.inf]

@@ -74,3 +74,24 @@ def test_detection_report_schema():
     assert set(obj) == {"criterion", "value", "bound", "verdict", "kappa", "d"}
     assert obj["verdict"] == "entangled"
     assert obj["d"] == 2
+
+
+def test_verification_report_is_strict_json():
+    from mumkit import VerificationReport
+
+    finite = VerificationReport(kind="mum-set", tol=1e-9, defects={"psd": 2.5e-16},
+                                details={"kappa_inferred": 0.5})
+    # finite reports keep the bytes they had before non-finite values became null
+    assert ser.dumps(ser.verification_report_to_obj(finite)) == json.dumps({
+        "kind": "mum-set", "tol": 1e-9, "passed": True,
+        "defects": {"psd": 2.5e-16}, "details": {"kappa_inferred": 0.5},
+    }) + "\n"
+    broken = VerificationReport(kind="mum-set", tol=1e-9,
+                                defects={"psd": float("inf"), "trace_one": 0.0},
+                                details={"kappa_inferred": float("nan")})
+    obj = ser.verification_report_to_obj(broken)
+    assert obj["passed"] is False
+    assert obj["defects"] == {"psd": None, "trace_one": 0.0}
+    assert obj["details"] == {"kappa_inferred": None}
+    with pytest.raises(ValueError):
+        ser.dumps({"value": float("nan")})
