@@ -56,6 +56,11 @@ FROZEN_ARTIFACTS = {
         "16955b6b190efc8c2e54d667186b3bdda08dc37693e7cbe02eab8536475053e2",
     ("gen-state", "--family", "isotropic", "--d", "6", "--alpha", "0.3"):
         "27dd2521330cfb5fad90448a2ea2a17f224812f5ab0bf968708824720a4537ee",
+    # figure-data CSVs, frozen before J and the Bell terms were rewritten
+    ("sweep", "--family", "isotropic", "--d", "6", "--param", "0:1:0.01"):
+        "34f542abefae2ca1097197899474fc40a052cabcf29ee30616f685d2d630f60d",
+    ("sweep", "--family", "bell-diagonal", "--d", "5", "--param", "0.04:1:0.003"):
+        "d8eb96b6326c84669bbed88755f03865df005160dffa3002e2367f5353d49dcc",
 }
 
 
