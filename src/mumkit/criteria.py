@@ -5,8 +5,19 @@ The central quantity is the paired coincidence sum
     J(rho) = sum_{b=1}^{d+1} sum_{n=1}^{d} Tr((P_n^(b) (x) Q_n^(b)) rho)
 
 over two measurement sets with equal purity kappa.  Separable states
-obey J <= 1 + kappa, so any larger value certifies entanglement.  The
-module also provides the older unbiased-bases criterion, the
+obey J <= 1 + kappa, so any larger value certifies entanglement.
+
+J is evaluated as Tr(W rho) with the witness W = sum_{b,n} P_n^(b) (x) Q_n^(b).
+With rho realigned into R, Tr((A (x) B) rho) = vec(A) @ R @ vec(B), so J
+is one inner product of R with the realigned witness P^T Q, where the
+rows of P and Q are the flattened elements.  The correlation-matrix
+trace is the same form with the operator basis on both sides, and each
+setting's joint distribution is P_b @ R @ Q_b^T.  Under the conjugate
+pairing J also has the fidelity form
+
+    J = (d+1)/d + ((d kappa - 1)/(d - 1)) (d F - 1/d),  F = <Phi+|rho|Phi+>.
+
+The module also provides the older unbiased-bases criterion, the
 correlation-matrix identity that ties J to Tr(T), the Bell-diagonal
 pairing that realizes the c kappa (d+1) lower bound, and a finite-shot
 estimator of J.
@@ -53,8 +64,32 @@ def _verdict(value: float, bound: float, tol: float) -> str:
     return "entangled" if value > bound + tol else "inconclusive"
 
 
-def _stack(ms: MumSet) -> np.ndarray:
-    return np.array([p for row in ms.elements for p in row])
+def _flat(elements) -> np.ndarray:
+    """A sequence of k d x d operators as the (k, d^2) stack of their row-major vec."""
+    a = np.array(elements)
+    return a.reshape(len(a), -1)
+
+
+def _mum_flat(ms: MumSet) -> np.ndarray:
+    return _flat([p for row in ms.elements for p in row])
+
+
+def _realigned(state: BipartiteState) -> np.ndarray:
+    """R with Tr((A (x) B) rho) = vec(A) @ R @ vec(B) for d x d operators A, B.
+
+    R[(a, b), (c, e)] = rho[(b, e), (a, c)].
+    """
+    d = state.d
+    return state.rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+
+
+def _witness_expectation(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> complex:
+    """sum_u Tr((A_u (x) B_u) rho) = Tr(W rho) with W = sum_u A_u (x) B_u.
+
+    ``a`` and ``b`` are flattened stacks (see :func:`_flat`) and ``r`` is
+    the realigned state; the realigned witness is a.T @ b.
+    """
+    return complex(np.vdot((a.T @ b).conj(), r))
 
 
 def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
@@ -71,12 +106,7 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
 def j_value(state: BipartiteState, pset: MumSet, qset: MumSet) -> float:
     """The coincidence sum J(rho) for a pair of measurement sets."""
     _check_pairing(state, pset, qset)
-    d = state.d
-    rho4 = state.rho.reshape(d, d, d, d)
-    # Tr((P (x) Q) rho) = sum P[a,b] Q[c,e] rho[(b,e),(a,c)]
-    total = complex(
-        np.einsum("uab,uce,beac->", _stack(pset), _stack(qset), rho4, optimize=True)
-    )
+    total = _witness_expectation(_mum_flat(pset), _mum_flat(qset), _realigned(state))
     if abs(total.imag) > _IMAG_TOL:
         raise ValueError(
             f"J accumulated a non-real value (imag {total.imag:.3e}); "
@@ -156,11 +186,8 @@ def correlation_matrix_trace(state: BipartiteState, basis: OperatorBasis) -> flo
     """
     if basis.d != state.d:
         raise ValueError(f"dimension mismatch: state d={state.d}, basis d={basis.d}")
-    d = state.d
-    rho4 = state.rho.reshape(d, d, d, d)
-    fs = np.array(basis.elements)
-    total = complex(np.einsum("uab,uce,beac->", fs, fs, rho4, optimize=True))
-    return 0.5 * float(total.real)
+    fs = _flat(basis.elements)
+    return 0.5 * float(_witness_expectation(fs, fs, _realigned(state)).real)
 
 
 def j_correlation_identity(
@@ -234,13 +261,10 @@ def setting_distributions(
 ) -> list[np.ndarray]:
     """Joint outcome distributions q_b[n, n'] = Tr((P_n^(b) (x) Q_n'^(b)) rho)."""
     _check_pairing(state, pset, qset)
-    d = state.d
-    rho4 = state.rho.reshape(d, d, d, d)
+    r = _realigned(state)
     out = []
-    for b in range(d + 1):
-        pb = np.array(pset.elements[b])
-        qb = np.array(qset.elements[b])
-        q = np.einsum("nab,mce,beac->nm", pb, qb, rho4, optimize=True)
+    for b in range(state.d + 1):
+        q = _flat(pset.elements[b]) @ r @ _flat(qset.elements[b]).T
         if float(np.abs(q.imag).max()) > _IMAG_TOL:
             raise ValueError(f"setting {b + 1} produced complex outcome probabilities")
         q = q.real

@@ -9,6 +9,7 @@ eigenbases for d = 2).  Composite dimensions raise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,21 @@ def mub_prime(d: int) -> BasisSet:
     return BasisSet(d=d, bases=tuple(bases))
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def verify_mub(bs: BasisSet, tol: float = 1e-10) -> VerificationReport:
-    """Check per-basis unitarity and pairwise unbiasedness |<b_i|c_j>|^2 = 1/d."""
+    """Check per-basis unitarity and pairwise unbiasedness |<b_i|c_j>|^2 = 1/d.
+
+    A set with no bases fails: both defects are inf.
+    """
+    if not bs.bases:
+        return VerificationReport(
+            kind="mub-set", tol=tol, defects={"unitarity": math.inf, "unbiasedness": math.inf}
+        )
     d = bs.d
     eye = np.eye(d)
     # columns of every basis side by side; one product per basis gives its
     # overlaps with itself and with every later basis
-    vectors = np.concatenate(bs.bases, axis=1) if bs.bases else np.empty((d, 0))
+    vectors = np.concatenate(bs.bases, axis=1)
     unitarity = unbias = 0.0
     for i, b in enumerate(bs.bases):
         g = b.conj().T @ vectors[:, i * d:]

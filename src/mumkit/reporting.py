@@ -51,6 +51,9 @@ class OperatorDefects:
     min_eigenvalues: np.ndarray | None
 
 
+# a non-finite entry already yields an inf defect; numpy's warnings about it
+# would only add noise on stderr
+@np.errstate(invalid="ignore", over="ignore")
 def operator_defects(families, cross_target: float = 0.0,
                      eigenvalues: bool = False) -> OperatorDefects:
     """Batched checks of operator families, each a sequence of n x n matrices.

@@ -7,6 +7,7 @@ index of |i> (x) |j> is i*d + j.  All factories validate Hermiticity
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,21 +42,53 @@ def _make_state(d: int, rho: np.ndarray) -> BipartiteState:
     return BipartiteState(d=d, rho=rho)
 
 
-def max_entangled(d: int) -> BipartiteState:
-    """Projector onto (1/sqrt(d)) sum_i |ii>."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=1)
+def _phi_plus(d: int) -> np.ndarray:
+    """|Phi+><Phi+| for |Phi+> = (1/sqrt(d)) sum_i |ii>, built once per d, read-only."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
     for i in range(d):
         v[i * d + i] = 1.0 / np.sqrt(d)
-    return _make_state(d, np.outer(v, v.conj()))
+    return _read_only(np.outer(v, v.conj()))
+
+
+@functools.lru_cache(maxsize=1)
+def _bell_terms(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """|Phi_st><Phi_st| for (s, t) in row-major order, built once per d, read-only.
+
+    Each term is (flat indices, values) of its d^2 non-zero entries in the
+    d^2 x d^2 matrix, computed as (W_st (x) I) |Phi+><Phi+| (W_st (x) I)^H.
+    The dense products are formed once here so that a mixture adds exactly
+    the same values a dense sum of these products would.
+    """
+    phi = _phi_plus(d)
+    eye = np.eye(d, dtype=complex)
+    terms = []
+    for row in weyl_operators(d):
+        for w in row:
+            u = np.kron(w, eye)
+            term = (u @ phi @ u.conj().T).ravel()
+            idx = np.flatnonzero(term)
+            terms.append((_read_only(idx), _read_only(term[idx])))
+    return tuple(terms)
+
+
+def max_entangled(d: int) -> BipartiteState:
+    """Projector onto (1/sqrt(d)) sum_i |ii>."""
+    return _make_state(d, _phi_plus(d).copy())
 
 
 def isotropic(d: int, alpha: float) -> BipartiteState:
     """alpha |Phi+><Phi+| + (1 - alpha) I / d^2."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    rho = alpha * max_entangled(d).rho + (1.0 - alpha) * np.eye(d * d, dtype=complex) / d ** 2
+    rho = alpha * _phi_plus(d) + (1.0 - alpha) * np.eye(d * d, dtype=complex) / d ** 2
     return _make_state(d, rho)
 
 
@@ -68,17 +101,11 @@ def bell_diagonal(d: int, p) -> BipartiteState:
         raise ValueError(f"probabilities must be non-negative, min is {p.min()!r}")
     if abs(p.sum() - 1.0) > 1e-12:
         raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
-    phi = max_entangled(d).rho
-    weyls = weyl_operators(d)
-    eye = np.eye(d, dtype=complex)
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for s in range(d):
-        for t in range(d):
-            if p[s, t] == 0.0:
-                continue
-            u = np.kron(weyls[s][t], eye)
-            rho += p[s, t] * (u @ phi @ u.conj().T)
-    return _make_state(d, rho)
+    rho = np.zeros(d ** 4, dtype=complex)
+    for weight, (idx, vals) in zip(p.ravel(), _bell_terms(d)):
+        if weight != 0.0:
+            rho[idx] += weight * vals
+    return _make_state(d, rho.reshape(d * d, d * d))
 
 
 def random_pure(d: int, seed: int) -> np.ndarray:
@@ -128,6 +155,7 @@ def partial_transpose(state: BipartiteState) -> np.ndarray:
     return r4.transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
 
+@np.errstate(invalid="ignore", over="ignore")
 def verify_state(state: BipartiteState, tol: float = 1e-9) -> VerificationReport:
     """Check Hermiticity, unit trace and positivity of a loaded state."""
     rho = np.asarray(state.rho)

@@ -118,22 +118,45 @@ PAYLOAD_KINDS = {
 }
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("argv", [
+def _set_first_entry(value):
+    def corrupt(payload):
+        _first_entry(payload)[0] = value
+    return corrupt
+
+
+def _drop_bases(payload):
+    payload["bases"] = []
+
+
+FAIL_CLOSED_ARGV = [
     ["gen-basis", "--d", "3"],
     ["gen-mub", "--d", "3"],
     ["gen-mums", "--d", "3"],
     ["gen-state", "--family", "isotropic", "--d", "3", "--alpha", "0.3"],
-])
-def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, bad):
+]
+FAIL_CLOSED_CASES = [
+    pytest.param(argv, _set_first_entry(bad), id=f"argv{i}-{bad}")
+    for bad in (float("nan"), float("inf"))
+    for i, argv in enumerate(FAIL_CLOSED_ARGV)
+] + [
+    # a set with nothing in it must not pass either
+    pytest.param(["gen-mub", "--d", "3"], _drop_bases, id="empty-mub-set"),
+]
+
+
+# a numpy RuntimeWarning would reach stderr beside the one-line contract
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, corrupt", FAIL_CLOSED_CASES)
+def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, corrupt):
     kind = PAYLOAD_KINDS[argv[0]]
     out = tmp_path / "artifact.json"
     assert run(capsys, argv + ["-o", str(out)])[0] == 0
     payload = json.loads(out.read_text())
-    _first_entry(payload)[0] = bad
+    corrupt(payload)
     out.write_text(json.dumps(payload))
-    code, stdout, _ = run(capsys, ["verify", str(out)])
+    code, stdout, err = run(capsys, ["verify", str(out)])
     assert code == 3
+    assert err == ""
     # strict JSON: a non-finite defect is null, never a bare NaN/Infinity token
     report = json.loads(stdout, parse_constant=_reject_constant)
     assert report["passed"] is False

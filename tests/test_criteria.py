@@ -44,6 +44,96 @@ def j_by_explicit_kron(state, pset, qset):
     return total
 
 
+# The einsum contractions that j_value, correlation_matrix_trace and
+# setting_distributions evaluated before the witness-operator form.
+def _einsum_stack(elements):
+    return np.array(list(elements))
+
+
+def j_by_einsum(state, pset, qset):
+    d = state.d
+    rho4 = state.rho.reshape(d, d, d, d)
+    ps = _einsum_stack(p for row in pset.elements for p in row)
+    qs = _einsum_stack(q for row in qset.elements for q in row)
+    return complex(np.einsum("uab,uce,beac->", ps, qs, rho4, optimize=True)).real
+
+
+def correlation_trace_by_einsum(state, basis):
+    d = state.d
+    rho4 = state.rho.reshape(d, d, d, d)
+    fs = _einsum_stack(basis.elements)
+    return 0.5 * complex(np.einsum("uab,uce,beac->", fs, fs, rho4, optimize=True)).real
+
+
+def distributions_by_einsum(state, pset, qset):
+    d = state.d
+    rho4 = state.rho.reshape(d, d, d, d)
+    return [
+        np.einsum("nab,mce,beac->nm", _einsum_stack(pb), _einsum_stack(qb), rho4,
+                  optimize=True).real
+        for pb, qb in zip(pset.elements, qset.elements)
+    ]
+
+
+def _is_prime(d):
+    return d > 1 and all(d % f for f in range(2, d))
+
+
+def _pairings(d):
+    # (pairing name, pset, qset): the CLI pairings plus the MUB-lifted set for prime d
+    pset = optimal_mums(d)
+    grid = np.full((d, d), 0.4 / (d * d - 1))
+    grid[d - 1, 1] = 0.6
+    out = [("self", pset, pset), ("conjugate", pset, conjugate_mums(pset)),
+           ("bell-choice", pset, bell_choice(pset, grid)[0])]
+    if _is_prime(d):
+        mp = mums_from_mubs(mub_prime(d))
+        out += [("mub-lifted self", mp, mp), ("mub-lifted conjugate", mp, conjugate_mums(mp))]
+    return out
+
+
+def bell_fidelity(state):
+    # <Phi+|rho|Phi+> with |Phi+> = sum_i |ii> / sqrt(d)
+    d = state.d
+    idx = np.arange(d) * (d + 1)
+    return float(state.rho[np.ix_(idx, idx)].sum().real) / d
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_j_and_distributions_match_einsum_oracle(d):
+    states = [random_density(d, 300 + d), random_separable(d, 4, 310 + d), isotropic(d, 0.7)]
+    for name, pset, qset in _pairings(d):
+        for st in states:
+            assert abs(j_value(st, pset, qset) - j_by_einsum(st, pset, qset)) <= 1e-14, name
+            got = setting_distributions(st, pset, qset)
+            want = distributions_by_einsum(st, pset, qset)
+            assert len(got) == len(want) == d + 1
+            for g, w in zip(got, want):
+                assert g.shape == (d, d)
+                assert np.abs(g - w).max() <= 1e-14, name
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_correlation_trace_matches_einsum_oracle(d):
+    for basis in (gell_mann_basis(d), grouped_gell_mann_basis(d)):
+        for st in (random_density(d, 320 + d), random_separable(d, 4, 330 + d)):
+            got = correlation_matrix_trace(st, basis)
+            assert abs(got - correlation_trace_by_einsum(st, basis)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_j_conjugate_pairing_matches_fidelity_form(d):
+    # J = (d+1)/d + ((d kappa - 1)/(d - 1)) (d F - 1/d) with F = <Phi+|rho|Phi+>
+    sets = [optimal_mums(d)] + ([mums_from_mubs(mub_prime(d))] if _is_prime(d) else [])
+    for pset in sets:
+        qset = conjugate_mums(pset)
+        k = pset.kappa
+        for seed in range(3):
+            st = random_density(d, 340 + 10 * d + seed)
+            want = (d + 1) / d + ((d * k - 1.0) / (d - 1)) * (d * bell_fidelity(st) - 1.0 / d)
+            assert abs(j_value(st, pset, qset) - want) <= 1e-14
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_j_of_maximally_mixed(d):
     ms = optimal_mums(d)

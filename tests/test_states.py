@@ -12,6 +12,7 @@ from mumkit import (
     random_pure,
     random_separable,
     verify_state,
+    weyl_operators,
 )
 
 
@@ -95,6 +96,56 @@ def test_bell_diagonal_eigenvalues_are_weights():
     rho = bell_diagonal(d, p).rho
     got = np.sort(np.linalg.eigvalsh(rho))
     assert np.abs(got - np.sort(p.ravel())).max() < 1e-10
+
+
+def bell_diagonal_by_kron(d, p):
+    # the per-call Kronecker loop that bell_diagonal ran before its terms were cached
+    v = np.zeros(d * d, dtype=complex)
+    v[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
+    phi = np.outer(v, v.conj())
+    weyls = weyl_operators(d)
+    eye = np.eye(d, dtype=complex)
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for s in range(d):
+        for t in range(d):
+            if p[s, t] == 0.0:
+                continue
+            u = np.kron(weyls[s][t], eye)
+            rho += p[s, t] * (u @ phi @ u.conj().T)
+    return rho
+
+
+def _bell_grids(d, seed):
+    # sweep-style grids (one peak, flat rest) and random grids with zero weights
+    grids = []
+    for c in (1.0 / d ** 2, 0.3, 0.731, 1.0):
+        p = np.full((d, d), (1.0 - c) / (d * d - 1))
+        p[0, 0] = c
+        grids.append(p / p.sum())
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        p = rng.random((d, d))
+        p[rng.random((d, d)) < 0.4] = 0.0
+        p[d - 1, 0] += 0.1  # never all zero
+        grids.append(p / p.sum())
+    return grids
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 11])
+def test_bell_diagonal_bytes_match_kron_loop(d):
+    for p in _bell_grids(d, 400 + d):
+        assert bell_diagonal(d, p).rho.tobytes() == bell_diagonal_by_kron(d, p).tobytes()
+
+
+def test_returned_states_do_not_alias_cached_terms():
+    d = 3
+    p = np.full((d, d), 1.0 / d ** 2)
+    peak = np.zeros((d, d))
+    peak[0, 0] = 1.0
+    for st in (max_entangled(d), isotropic(d, 0.4), bell_diagonal(d, p)):
+        st.rho[...] = 7.0
+    assert bell_diagonal(d, p).rho.tobytes() == bell_diagonal_by_kron(d, p).tobytes()
+    assert isotropic(d, 1.0).rho.tobytes() == bell_diagonal_by_kron(d, peak).tobytes()
 
 
 def test_bell_diagonal_validates_grid():
