@@ -46,22 +46,18 @@ def j_by_explicit_kron(state, pset, qset):
 
 # The einsum contractions that j_value, correlation_matrix_trace and
 # setting_distributions evaluated before the witness-operator form.
-def _einsum_stack(elements):
-    return np.array(list(elements))
-
-
 def j_by_einsum(state, pset, qset):
     d = state.d
     rho4 = state.rho.reshape(d, d, d, d)
-    ps = _einsum_stack(p for row in pset.elements for p in row)
-    qs = _einsum_stack(q for row in qset.elements for q in row)
+    ps = np.array([p for row in pset.elements for p in row])
+    qs = np.array([q for row in qset.elements for q in row])
     return complex(np.einsum("uab,uce,beac->", ps, qs, rho4, optimize=True)).real
 
 
 def correlation_trace_by_einsum(state, basis):
     d = state.d
     rho4 = state.rho.reshape(d, d, d, d)
-    fs = _einsum_stack(basis.elements)
+    fs = np.array(basis.elements)
     return 0.5 * complex(np.einsum("uab,uce,beac->", fs, fs, rho4, optimize=True)).real
 
 
@@ -69,8 +65,7 @@ def distributions_by_einsum(state, pset, qset):
     d = state.d
     rho4 = state.rho.reshape(d, d, d, d)
     return [
-        np.einsum("nab,mce,beac->nm", _einsum_stack(pb), _einsum_stack(qb), rho4,
-                  optimize=True).real
+        np.einsum("nab,mce,beac->nm", np.array(pb), np.array(qb), rho4, optimize=True).real
         for pb, qb in zip(pset.elements, qset.elements)
     ]
 
