@@ -61,6 +61,14 @@ FROZEN_ARTIFACTS = {
         "34f542abefae2ca1097197899474fc40a052cabcf29ee30616f685d2d630f60d",
     ("sweep", "--family", "bell-diagonal", "--d", "5", "--param", "0.04:1:0.003"):
         "d8eb96b6326c84669bbed88755f03865df005160dffa3002e2367f5353d49dcc",
+    # frozen before matrix entries were emitted by one tolist() per matrix;
+    # the d = 16 basis holds 120 negative-zero tokens
+    ("gen-basis", "--d", "16"):
+        "096d3ec30c71dd961ceda898c19c5d6936c8e835df29e46de65d33857ffe6d7a",
+    ("gen-mums", "--d", "16"):
+        "f58e49d6684e68b87c0c32858f19576b735b9ab7f1db62bf444fd13b11a93420",
+    ("gen-state", "--family", "random-separable", "--d", "4", "--seed", "7"):
+        "fa0989fc674d30a671401119ebb4e3042f6691b62abe5d07475d8227fbd6dbce",
 }
 
 
