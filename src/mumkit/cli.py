@@ -8,6 +8,7 @@ Errors are a single machine-parsable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -172,7 +173,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on first use and then shared by every run_cli call.
+
+    Not built at import, so importing the module stays cheap.  Parsing
+    leaves the parser unchanged: each call gets a fresh namespace filled
+    from the defaults, and errors raise CliError instead of exiting.
+    """
     parser = _Parser(prog="mumkit", description=__doc__)
     parser.add_argument("--tol", type=float, default=VERDICT_TOL,
                         help="tolerance threaded to verifiers and verdicts (default 1e-9)")
@@ -263,8 +271,7 @@ def _add_state_args(p, state_seed_flag: str = "--seed"):
 
 
 def _load_p_grid(path: str, d: int) -> np.ndarray:
-    obj = serialize.load_path(path)
-    p = np.asarray(obj, dtype=float)
+    p = serialize.grid_from_obj(serialize.load_path(path))
     if p.shape != (d, d):
         raise CliError(f"probability grid in {path} must be {d} x {d}, got {p.shape}")
     return p

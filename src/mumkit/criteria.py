@@ -34,7 +34,7 @@ from .mub import BasisSet, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
 from .operator_basis import OperatorBasis, weyl_operators
 from .rng import Xoshiro256
-from .states import BipartiteState
+from .states import BipartiteState, _probability_grid
 
 VERDICT_TOL = 1e-9
 _KAPPA_MATCH_TOL = 1e-9
@@ -229,14 +229,9 @@ def bell_choice(pset: MumSet, p) -> tuple[MumSet, float]:
     component contributes exactly c kappa (d+1) and every other
     component is a trace of a product of PSD operators.
     """
-    p = np.asarray(p, dtype=float)
-    d = pset.d
-    if p.shape != (d, d):
-        raise ValueError(f"probability grid must be {d} x {d}, got {p.shape}")
-    if p.min() < 0.0 or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("probabilities must be non-negative and sum to 1")
+    p = _probability_grid(p, pset.d)
     s, t = np.unravel_index(int(np.argmax(p)), p.shape)
-    u = weyl_operators(d)[s][t]
+    u = weyl_operators(pset.d)[s][t]
     qset = conjugate_mums(rotate_mums(pset, u.conj().T))
     return qset, float(p[s, t])
 

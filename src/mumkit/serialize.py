@@ -24,20 +24,46 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # one tolist() yields the same Python floats, -0.0 included, in row-major order
     return {
         "dim": int(a.shape[0]),
-        "entries": [[float(z.real), float(z.imag)] for z in a.ravel()],
+        "entries": np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist(),
     }
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
 
 
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix payload must carry 'dim' and 'entries'")
-    dim = int(obj["dim"])
-    entries = obj["entries"]
+    dim = _int(obj["dim"], "matrix dim")
+    entries = _list(obj["entries"], "matrix entries")
     if dim < 1 or len(entries) != dim * dim:
         raise ValueError(f"matrix payload of dim {dim} needs {dim * dim} entries, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError, OverflowError):
+        # null, strings, lists, pairs of the wrong length, integers beyond the float range
+        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
     return flat.reshape(dim, dim)
 
 
@@ -54,8 +80,10 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
     elements = []
     labels = []
     for item in obj:
+        if not isinstance(item, dict):
+            raise ValueError("operator basis items must be objects with 'n', 'b' and 'matrix'")
         elements.append(matrix_from_obj(item["matrix"]))
-        labels.append((int(item["n"]), int(item["b"])))
+        labels.append((_int(item["n"], "label n"), _int(item["b"], "label b")))
     d = elements[0].shape[0]
     return OperatorBasis(d=d, elements=tuple(elements), labels=tuple(labels))
 
@@ -67,8 +95,8 @@ def basis_set_to_obj(bs: BasisSet) -> dict:
 def basis_set_from_obj(obj) -> BasisSet:
     if not isinstance(obj, dict) or "bases" not in obj:
         raise ValueError("basis set payload must carry 'bases'")
-    bases = tuple(matrix_from_obj(b) for b in obj["bases"])
-    d = int(obj.get("d", bases[0].shape[0] if bases else 0))
+    bases = tuple(matrix_from_obj(b) for b in _list(obj["bases"], "bases"))
+    d = _int(obj["d"], "d") if "d" in obj else (bases[0].shape[0] if bases else 0)
     return BasisSet(d=d, bases=bases)
 
 
@@ -85,14 +113,15 @@ def mums_from_obj(obj) -> MumSet:
     if not isinstance(obj, dict) or "elements" not in obj:
         raise ValueError("measurement set payload must carry 'elements'")
     elements = tuple(
-        tuple(matrix_from_obj(p) for p in row) for row in obj["elements"]
+        tuple(matrix_from_obj(p) for p in _list(row, "measurement"))
+        for row in _list(obj["elements"], "elements")
     )
     t = obj.get("t")
     return MumSet(
-        d=int(obj["d"]),
+        d=_int(obj["d"], "d"),
         elements=elements,
-        kappa=float(obj["kappa"]),
-        t=None if t is None else float(t),
+        kappa=_float(obj["kappa"], "kappa"),
+        t=None if t is None else _float(t, "t"),
     )
 
 
@@ -104,10 +133,21 @@ def state_from_obj(obj) -> BipartiteState:
     if not isinstance(obj, dict) or "rho" not in obj:
         raise ValueError("state payload must carry 'rho'")
     rho = matrix_from_obj(obj["rho"])
-    d = int(obj.get("d", round(np.sqrt(rho.shape[0]))))
+    d = _int(obj["d"], "d") if "d" in obj else round(np.sqrt(rho.shape[0]))
     if rho.shape[0] != d * d:
         raise ValueError(f"rho of dim {rho.shape[0]} does not match d={d}")
     return BipartiteState(d=d, rho=rho)
+
+
+def grid_from_obj(obj) -> np.ndarray:
+    """A probability grid: a JSON list of equal-length lists of numbers, as a float array."""
+    try:
+        p = np.array(obj)
+    except ValueError:  # ragged rows
+        p = None
+    if not isinstance(obj, list) or p is None or p.dtype.kind not in "iuf":
+        raise ValueError("probability grid must be a list of equal-length lists of numbers")
+    return p.astype(float)
 
 
 def report_to_obj(report: DetectionReport) -> dict:

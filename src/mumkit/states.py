@@ -92,15 +92,24 @@ def isotropic(d: int, alpha: float) -> BipartiteState:
     return _make_state(d, rho)
 
 
-def bell_diagonal(d: int, p) -> BipartiteState:
-    """Mixture sum_{s,t} p[s,t] |Phi_st><Phi_st| of Weyl-displaced Bell states."""
+def _probability_grid(p, d: int) -> np.ndarray:
+    """p as a d x d float array of finite, non-negative weights summing to 1."""
     p = np.asarray(p, dtype=float)
     if p.shape != (d, d):
         raise ValueError(f"probability grid must be {d} x {d}, got {p.shape}")
+    # NaN passes both comparisons below, so it is refused first
+    if not np.isfinite(p).all():
+        raise ValueError("probability grid must be finite")
     if p.min() < 0.0:
-        raise ValueError(f"probabilities must be non-negative, min is {p.min()!r}")
+        raise ValueError(f"probabilities must be non-negative, min is {float(p.min())!r}")
     if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1, got {p.sum()!r}")
+        raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
+    return p
+
+
+def bell_diagonal(d: int, p) -> BipartiteState:
+    """Mixture sum_{s,t} p[s,t] |Phi_st><Phi_st| of Weyl-displaced Bell states."""
+    p = _probability_grid(p, d)
     rho = np.zeros(d ** 4, dtype=complex)
     for weight, (idx, vals) in zip(p.ravel(), _bell_terms(d)):
         if weight != 0.0:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mumkit import j_isotropic_closed, optimal_kappa
-from mumkit.cli import SweepSpec, emit_figure_data, run_cli
+from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
 def run(capsys, argv):
@@ -270,6 +270,96 @@ def test_unrecognized_payload_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", str(bad)])
     assert code == 2
     assert "unrecognized" in err
+
+
+MALFORMED_PAYLOADS = {
+    "state-null-entry": {"d": 1, "rho": {"dim": 1, "entries": [[None, 0.0]]}},
+    "state-string-entry": {"d": 1, "rho": {"dim": 1, "entries": [["0.3", 0.0]]}},
+    "state-entries-number": {"d": 1, "rho": {"dim": 1, "entries": 5}},
+    "state-d-string": {"d": "1", "rho": {"dim": 1, "entries": [[1.0, 0.0]]}},
+    "basis-of-numbers": [1, 2],
+    "mub-bases-number": {"d": 2, "bases": 5},
+    "mums-elements-number": {"d": 2, "kappa": 0.5, "elements": 5},
+}
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED_PAYLOADS.values()),
+                         ids=list(MALFORMED_PAYLOADS))
+def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, ["verify", str(bad)])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", [{"p": 1.0}, [[0.5, "0.5"], [0.0, 0.0]], [[0.5, 0.5], [0.0]]],
+                         ids=["object", "string", "ragged"])
+def test_malformed_p_grid_exits_2(tmp_path, capsys, grid):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(grid))
+    code, _, err = run(capsys, ["gen-state", "--family", "bell-diagonal", "--d", "2",
+                                "--p", str(p_file)])
+    assert code == 2
+    assert err.startswith("error: probability grid") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad, shown", [(float("nan"), "finite"), (-2e308, "finite"),
+                                        (-0.25, "min is -0.25")])
+def test_bad_bell_grid_names_the_grid(tmp_path, capsys, bad, shown):
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps([[1.25, 0.0], [0.0, bad]]))
+    code, _, err = run(capsys, ["gen-state", "--family", "bell-diagonal", "--d", "2",
+                                "--p", str(p_file)])
+    assert code == 2
+    assert shown in err and "np." not in err and err.count("\n") == 1
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+GEN_MUMS_D3_DIGEST = FROZEN_ARTIFACTS[("gen-mums", "--d", "3")]
+DETECT_ISO = ["detect", "--family", "isotropic", "--d", "4", "--alpha", "0.3"]
+
+# (first call, its exit code, second call); each first call gives other
+# output, and the second must still give what a parser built for it alone gives
+PARSER_REUSE_CASES = {
+    "max-t-then-plain": (["gen-mums", "--d", "3", "--max-t"], 0, ["gen-mums", "--d", "3"]),
+    "kappa-then-default": (DETECT_ISO + ["--kappa", "0.3"], 0, DETECT_ISO),
+    "bad-flag-then-valid": (["gen-mums", "--d", "3", "--bogus"], 2, ["gen-mums", "--d", "3"]),
+    "help-then-valid": (["detect", "--help"], 0, DETECT_ISO),
+    "tol-then-default": (["--tol", "0.5"] + DETECT_ISO, 0, DETECT_ISO),
+}
+
+
+@pytest.mark.parametrize("first, first_code, second", list(PARSER_REUSE_CASES.values()),
+                         ids=list(PARSER_REUSE_CASES))
+def test_parser_reuse_leaks_no_option(capsys, first, first_code, second):
+    _build_parser.cache_clear()
+    expected = run(capsys, second)
+    assert expected[0] == 0
+    _build_parser.cache_clear()
+    code, *output = run(capsys, first)
+    assert code == first_code
+    assert (code, *output) != expected
+    parser = _build_parser()
+    assert run(capsys, second) == expected
+    assert _build_parser() is parser
+    if second == ["gen-mums", "--d", "3"]:
+        assert _sha(expected[1]) == GEN_MUMS_D3_DIGEST
+
+
+def test_run_cli_interleaved_calls_reuse_one_parser(capsys):
+    outputs = {}
+    for _ in range(2):
+        for argv in (["gen-mums", "--d", "3", "--max-t"], ["gen-mums", "--d", "3"],
+                     DETECT_ISO + ["--kappa", "0.3"], DETECT_ISO, ["detect", "--bogus"]):
+            outputs.setdefault(tuple(argv), []).append(run(capsys, argv))
+    assert all(first == again for first, again in outputs.values())
+    assert _sha(outputs[("gen-mums", "--d", "3")][0][1]) == GEN_MUMS_D3_DIGEST
+    assert _build_parser.cache_info().currsize == 1
 
 
 def test_sweep_isotropic_matches_closed_form(tmp_path, capsys):

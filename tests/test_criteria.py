@@ -353,6 +353,8 @@ def test_bell_choice_validates_grid():
         bell_choice(ms, np.full((3, 3), 1.0 / 9.0))
     with pytest.raises(ValueError, match="sum to 1"):
         bell_choice(ms, np.full((2, 2), 0.3))
+    with pytest.raises(ValueError, match="grid must be finite"):
+        bell_choice(ms, np.array([[1.0, 0.0], [0.0, np.nan]]))
 
 
 @pytest.mark.parametrize("seed", range(30))

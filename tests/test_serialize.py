@@ -16,11 +16,97 @@ def test_matrix_round_trip_exact():
     assert np.array_equal(a, back)
 
 
+def _entries_by_element(a):
+    # the per-entry form matrix_to_obj used before one tolist() per matrix
+    return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).ravel()]
+
+
+_C = Xoshiro256(61).complex_normals(36).reshape(6, 6)
+_SIGNED_ZEROS = np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+ENCODER_INPUTS = {
+    "c-order": _C,
+    "fortran-order": np.asfortranarray(_C),
+    "transposed": _C.T,
+    "strided": _C[::2, ::2],
+    "real": Xoshiro256(62).normals(25).reshape(5, 5),
+    "integer": np.arange(9).reshape(3, 3),
+    "signed-zeros": _SIGNED_ZEROS,
+    "signed-zeros-transposed": _SIGNED_ZEROS.T,
+    "basis-d16": gell_mann_basis(16).elements[-1],
+}
+
+
+@pytest.mark.parametrize("a", list(ENCODER_INPUTS.values()), ids=list(ENCODER_INPUTS))
+def test_matrix_to_obj_matches_per_entry_encoder(a):
+    obj = ser.matrix_to_obj(a)
+    assert json.dumps(obj) == json.dumps({"dim": a.shape[0], "entries": _entries_by_element(a)})
+    assert all(type(x) is float for pair in obj["entries"] for x in pair)
+
+
+def test_matrix_to_obj_keeps_negative_zero():
+    entries = ser.matrix_to_obj(np.array([[-0.0, complex(0.0, -0.0)], [0.0, 1.0]]))["entries"]
+    assert json.dumps(entries) == "[[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [1.0, 0.0]]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entry_makes_dumps_raise(bad):
+    a = np.eye(2, dtype=complex)
+    a[1, 0] = complex(0.0, bad)
+    obj = ser.matrix_to_obj(a)
+    assert json.dumps(obj, allow_nan=True) == json.dumps(
+        {"dim": 2, "entries": _entries_by_element(a)}, allow_nan=True)
+    with pytest.raises(ValueError):
+        ser.dumps(obj)
+
+
 def test_matrix_payload_validation():
     with pytest.raises(ValueError, match="dim"):
         ser.matrix_from_obj({"entries": []})
     with pytest.raises(ValueError, match="entries"):
         ser.matrix_from_obj({"dim": 2, "entries": [[1.0, 0.0]]})
+
+
+WRONG_TYPED_MATRICES = {
+    "null-entry": {"dim": 1, "entries": [[None, 0.0]]},
+    "string-entry": {"dim": 1, "entries": [["0.3", 0.0]]},
+    "string-imaginary": {"dim": 1, "entries": [[0.3, "0"]]},
+    "entries-number": {"dim": 1, "entries": 5},
+    "entries-string": {"dim": 1, "entries": "ab"},
+    "entry-number": {"dim": 1, "entries": [5]},
+    "entry-triple": {"dim": 1, "entries": [[1.0, 0.0, 0.0]]},
+    "entry-overflows": {"dim": 1, "entries": [[10 ** 400, 0]]},
+    "dim-null": {"dim": None, "entries": [[1.0, 0.0]]},
+    "dim-string": {"dim": "1", "entries": [[1.0, 0.0]]},
+    "dim-float": {"dim": 1.0, "entries": [[1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("obj", list(WRONG_TYPED_MATRICES.values()), ids=list(WRONG_TYPED_MATRICES))
+def test_wrong_typed_matrix_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        ser.matrix_from_obj(obj)
+
+
+def test_wrong_typed_containers_raise_value_error():
+    one = {"dim": 1, "entries": [[1.0, 0.0]]}
+    with pytest.raises(ValueError, match="basis items"):
+        ser.operator_basis_from_obj([1, 2])
+    with pytest.raises(ValueError, match="label n"):
+        ser.operator_basis_from_obj([{"n": None, "b": 1, "matrix": one}])
+    with pytest.raises(ValueError, match="bases"):
+        ser.basis_set_from_obj({"d": 1, "bases": 5})
+    with pytest.raises(ValueError, match="elements"):
+        ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": 5})
+    with pytest.raises(ValueError, match="measurement"):
+        ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": [one]})
+    with pytest.raises(ValueError, match="kappa"):
+        ser.mums_from_obj({"d": 1, "kappa": "1", "elements": [[one]]})
+    with pytest.raises(ValueError, match="d must be"):
+        ser.state_from_obj({"d": [1], "rho": one})
+    for grid in ({"p": 1}, [[0.5, "0.5"]], [[0.5, None]], [[0.5], [0.25, 0.25]], [[True]], 5):
+        with pytest.raises(ValueError, match="probability grid"):
+            ser.grid_from_obj(grid)
+    assert ser.grid_from_obj([[1, 0], [0, 0]]).dtype == float
 
 
 def test_operator_basis_round_trip():

@@ -155,6 +155,15 @@ def test_bell_diagonal_validates_grid():
         bell_diagonal(2, np.array([[0.5, 0.1], [0.1, 0.1]]))
     with pytest.raises(ValueError, match="grid"):
         bell_diagonal(3, np.full((2, 2), 0.25))
+    # NaN passes both the sign and the sum comparisons
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="grid must be finite"):
+            bell_diagonal(2, np.array([[1.0, 0.0], [0.0, bad]]))
+    # plain floats in the message, not numpy scalar reprs
+    with pytest.raises(ValueError, match=r"min is -0\.1$"):
+        bell_diagonal(2, np.array([[1.1, -0.1], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match=r"got 0\.75$"):
+        bell_diagonal(2, np.array([[0.5, 0.25], [0.0, 0.0]]))
 
 
 def test_random_pure_properties():
