@@ -2,7 +2,8 @@
 
 Matrix payloads are ``{"dim": n, "entries": [[re, im], ...]}`` row-major;
 values are written as Python's shortest round-trip representation, so
-loading reproduces every double exactly.
+loading reproduces every double exactly.  The loaders raise ValueError
+for a payload of the wrong shape or JSON type.
 """
 
 from __future__ import annotations
@@ -142,10 +143,10 @@ def state_from_obj(obj) -> BipartiteState:
 def grid_from_obj(obj) -> np.ndarray:
     """A probability grid: a JSON list of equal-length lists of numbers, as a float array."""
     try:
-        p = np.array(obj)
+        p = np.array(obj) if isinstance(obj, list) else None
     except ValueError:  # ragged rows
         p = None
-    if not isinstance(obj, list) or p is None or p.dtype.kind not in "iuf":
+    if p is None or p.dtype.kind not in "iuf":
         raise ValueError("probability grid must be a list of equal-length lists of numbers")
     return p.astype(float)
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import stat
@@ -294,6 +295,44 @@ def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _subtree_paths(obj, prefix=()):
+    # every key path into obj, following the first two items of each list
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj[:2]) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _subtree_paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize("argv", [["gen-basis", "--d", "2"], ["gen-mub", "--d", "2"],
+                                  ["gen-mums", "--d", "2"],
+                                  ["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.3"]],
+                         ids=lambda argv: argv[0])
+def test_verify_any_wrong_typed_value_exits_cleanly(tmp_path, capsys, argv):
+    # every subtree of a generated payload swapped for a value of another JSON type
+    out = tmp_path / "artifact.json"
+    assert run(capsys, argv + ["-o", str(out)])[0] == 0
+    payload = json.loads(out.read_text())
+    values = (None, "x", 5, 1.5, True, [], {}, [1, 2], 10 ** 400)
+    for i, (path, value) in enumerate(itertools.product(_subtree_paths(payload), values)):
+        # a new file per case: truncating a written file can block for a flush
+        case = tmp_path / f"case{i}.json"
+        case.write_text(json.dumps(_replaced(payload, path, value)))
+        code, _, err = run(capsys, ["verify", str(case)])
+        assert code in (0, 2, 3), (path, value)
+        assert err.count("\n") <= 1, (path, value, err)
+
+
 @pytest.mark.parametrize("grid", [{"p": 1.0}, [[0.5, "0.5"], [0.0, 0.0]], [[0.5, 0.5], [0.0]]],
                          ids=["object", "string", "ragged"])
 def test_malformed_p_grid_exits_2(tmp_path, capsys, grid):
@@ -349,17 +388,6 @@ def test_parser_reuse_leaks_no_option(capsys, first, first_code, second):
     assert _build_parser() is parser
     if second == ["gen-mums", "--d", "3"]:
         assert _sha(expected[1]) == GEN_MUMS_D3_DIGEST
-
-
-def test_run_cli_interleaved_calls_reuse_one_parser(capsys):
-    outputs = {}
-    for _ in range(2):
-        for argv in (["gen-mums", "--d", "3", "--max-t"], ["gen-mums", "--d", "3"],
-                     DETECT_ISO + ["--kappa", "0.3"], DETECT_ISO, ["detect", "--bogus"]):
-            outputs.setdefault(tuple(argv), []).append(run(capsys, argv))
-    assert all(first == again for first, again in outputs.values())
-    assert _sha(outputs[("gen-mums", "--d", "3")][0][1]) == GEN_MUMS_D3_DIGEST
-    assert _build_parser.cache_info().currsize == 1
 
 
 def test_sweep_isotropic_matches_closed_form(tmp_path, capsys):

@@ -43,11 +43,6 @@ def test_matrix_to_obj_matches_per_entry_encoder(a):
     assert all(type(x) is float for pair in obj["entries"] for x in pair)
 
 
-def test_matrix_to_obj_keeps_negative_zero():
-    entries = ser.matrix_to_obj(np.array([[-0.0, complex(0.0, -0.0)], [0.0, 1.0]]))["entries"]
-    assert json.dumps(entries) == "[[-0.0, 0.0], [0.0, -0.0], [0.0, 0.0], [1.0, 0.0]]"
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_entry_makes_dumps_raise(bad):
     a = np.eye(2, dtype=complex)
@@ -99,8 +94,9 @@ def test_wrong_typed_containers_raise_value_error():
         ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": 5})
     with pytest.raises(ValueError, match="measurement"):
         ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": [one]})
-    with pytest.raises(ValueError, match="kappa"):
-        ser.mums_from_obj({"d": 1, "kappa": "1", "elements": [[one]]})
+    for kappa in ("1", None, 10 ** 400):
+        with pytest.raises(ValueError, match="kappa"):
+            ser.mums_from_obj({"d": 1, "kappa": kappa, "elements": [[one]]})
     with pytest.raises(ValueError, match="d must be"):
         ser.state_from_obj({"d": [1], "rho": one})
     for grid in ({"p": 1}, [[0.5, "0.5"]], [[0.5, None]], [[0.5], [0.25, 0.25]], [[True]], 5):
