@@ -53,6 +53,7 @@ from .operator_basis import (
     gell_mann_basis,
     grouped_gell_mann_basis,
     verify_orthonormal_basis,
+    weyl_operator,
     weyl_operators,
 )
 from .reporting import VerificationReport
@@ -126,6 +127,7 @@ __all__ = [
     "verify_mums",
     "verify_orthonormal_basis",
     "verify_state",
+    "weyl_operator",
     "weyl_operators",
 ]
 

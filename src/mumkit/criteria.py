@@ -32,7 +32,7 @@ import numpy as np
 from .linalg import require_hermitian, trace_product
 from .mub import BasisSet, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
-from .operator_basis import OperatorBasis, weyl_operators
+from .operator_basis import OperatorBasis, weyl_operator
 from .rng import Xoshiro256
 from .states import BipartiteState, _probability_grid
 
@@ -231,7 +231,7 @@ def bell_choice(pset: MumSet, p) -> tuple[MumSet, float]:
     """
     p = _probability_grid(p, pset.d)
     s, t = np.unravel_index(int(np.argmax(p)), p.shape)
-    u = weyl_operators(pset.d)[s][t]
+    u = weyl_operator(pset.d, s, t)
     qset = conjugate_mums(rotate_mums(pset, u.conj().T))
     return qset, float(p[s, t])
 

@@ -185,21 +185,22 @@ def grouped_gell_mann_basis(d: int) -> OperatorBasis:
     return OperatorBasis(d=d, elements=tuple(elements), labels=_grid_labels(d))
 
 
-def weyl_operators(d: int) -> list[list[np.ndarray]]:
-    """Weyl operators U[s][t] = sum_j zeta^(s j) |j><(j+t) mod d|, s,t in 0..d-1."""
+def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
+    """The Weyl operator U_{s,t} = sum_j zeta^(s j) |j><(j+t) mod d|, zeta = exp(2 pi i/d)."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     zeta = np.exp(2j * np.pi / d)
-    out = []
-    for s in range(d):
-        row = []
-        for t in range(d):
-            u = np.zeros((d, d), dtype=complex)
-            for j in range(d):
-                u[j, (j + t) % d] = zeta ** ((s * j) % d)
-            row.append(u)
-        out.append(row)
-    return out
+    u = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        u[j, (j + t) % d] = zeta ** ((s * j) % d)
+    return u
+
+
+def weyl_operators(d: int) -> list[list[np.ndarray]]:
+    """Weyl operators U[s][t] = weyl_operator(d, s, t), s,t in 0..d-1."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    return [[weyl_operator(d, s, t) for t in range(d)] for s in range(d)]
 
 
 def verify_orthonormal_basis(basis: OperatorBasis, tol: float = 1e-10) -> VerificationReport:

@@ -61,11 +61,16 @@ def matrix_from_obj(obj) -> np.ndarray:
     if dim < 1 or len(entries) != dim * dim:
         raise ValueError(f"matrix payload of dim {dim} needs {dim * dim} entries, got {len(entries)}")
     try:
-        flat = np.array([complex(re, im) for re, im in entries])
+        # complex(True, False) is 1+0j, so a pair holding a boolean is skipped
+        # here and refused by the count below
+        flat = [complex(re, im) for re, im in entries
+                if re.__class__ is not bool and im.__class__ is not bool]
     except (TypeError, ValueError, OverflowError):
         # null, strings, lists, pairs of the wrong length, integers beyond the float range
-        raise ValueError("matrix entries must be [re, im] pairs of numbers") from None
-    return flat.reshape(dim, dim)
+        flat = None
+    if flat is None or len(flat) != len(entries):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    return np.array(flat).reshape(dim, dim)
 
 
 def operator_basis_to_obj(basis: OperatorBasis) -> list:
@@ -118,11 +123,16 @@ def mums_from_obj(obj) -> MumSet:
         for row in _list(obj["elements"], "elements")
     )
     t = obj.get("t")
+    if t is not None:
+        # verify_mums never reads t, so a non-finite one would pass unnoticed
+        t = _float(t, "t")
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t!r}")
     return MumSet(
         d=_int(obj["d"], "d"),
         elements=elements,
         kappa=_float(obj["kappa"], "kappa"),
-        t=None if t is None else _float(t, "t"),
+        t=t,
     )
 
 
@@ -146,7 +156,9 @@ def grid_from_obj(obj) -> np.ndarray:
         p = np.array(obj) if isinstance(obj, list) else None
     except ValueError:  # ragged rows
         p = None
-    if p is None or p.dtype.kind not in "iuf":
+    # np.array upcasts a boolean mixed with numbers, so the entries are looked at too
+    if (p is None or p.dtype.kind not in "iuf"
+            or bool in map(type, np.array(obj, dtype=object).flat)):
         raise ValueError("probability grid must be a list of equal-length lists of numbers")
     return p.astype(float)
 

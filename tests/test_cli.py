@@ -1,13 +1,16 @@
+import gc
 import hashlib
 import itertools
 import json
 import os
 import stat
+import sys
 
 import numpy as np
 import pytest
 
 from mumkit import j_isotropic_closed, optimal_kappa
+from mumkit import cli
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
@@ -236,6 +239,29 @@ def test_detect_bell_choice_pairing(tmp_path, capsys):
     assert json.loads(stdout)["verdict"] == "entangled"
 
 
+# (d, s*, t*, peak weight): SHA-256 of `detect --pairing bell-choice` on a grid
+# peaked at (s*, t*), frozen before bell_choice built only the Weyl operator it uses
+FROZEN_BELL_CHOICE = {
+    (2, 1, 1, 0.7): "19e20d112378b2d7cd1a40fc3b5bc979980978e7266876975955f13adf0a33dc",
+    (3, 1, 2, 0.6): "f257b6dae77cc7dd0548d702a9c70e611aa45e07ebb143b054c54c48dd7cc468",
+    (5, 3, 4, 0.5): "00e93f377df12650307c91a7e58c322582b7800409607618183176c06126d5c1",
+    (6, 2, 5, 0.4): "2119dd0453d78135a96b08bfd73848c80782e87b46c33ed5ad145f9989106d7a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_BELL_CHOICE), ids=str)
+def test_detect_bell_choice_bytes_are_frozen(tmp_path, capsys, case):
+    d, s, t, c = case
+    p = np.full((d, d), (1.0 - c) / (d * d - 1))
+    p[s, t] = c
+    p_file = tmp_path / "p.json"
+    p_file.write_text(json.dumps(p.tolist()))
+    code, stdout, err = run(capsys, ["detect", "--family", "bell-diagonal", "--d", str(d),
+                                     "--p", str(p_file), "--pairing", "bell-choice"])
+    assert code == 0, err
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_BELL_CHOICE[case]
+
+
 def test_detect_bell_choice_needs_grid(capsys):
     code, _, err = run(
         capsys,
@@ -331,10 +357,13 @@ def test_verify_any_wrong_typed_value_exits_cleanly(tmp_path, capsys, argv):
         code, _, err = run(capsys, ["verify", str(case)])
         assert code in (0, 2, 3), (path, value)
         assert err.count("\n") <= 1, (path, value, err)
+        if value is True and "entries" in path:
+            assert code == 2, path
 
 
-@pytest.mark.parametrize("grid", [{"p": 1.0}, [[0.5, "0.5"], [0.0, 0.0]], [[0.5, 0.5], [0.0]]],
-                         ids=["object", "string", "ragged"])
+@pytest.mark.parametrize("grid", [{"p": 1.0}, [[0.5, "0.5"], [0.0, 0.0]], [[0.5, 0.5], [0.0]],
+                                  [[True, 0.0], [0.0, 0.0]]],
+                         ids=["object", "string", "ragged", "boolean"])
 def test_malformed_p_grid_exits_2(tmp_path, capsys, grid):
     p_file = tmp_path / "p.json"
     p_file.write_text(json.dumps(grid))
@@ -353,6 +382,53 @@ def test_bad_bell_grid_names_the_grid(tmp_path, capsys, bad, shown):
                                 "--p", str(p_file)])
     assert code == 2
     assert shown in err and "np." not in err and err.count("\n") == 1
+
+
+def _assert_refused(code, stdout, err):
+    # a validation error: exit 2, nothing on stdout, one line on stderr
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_verify_refuses_non_finite_t(tmp_path, capsys, token):
+    # verify_mums never reads t, so a non-finite t passed verify with exit 0
+    out = tmp_path / "mums.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(out)])[0] == 0
+    text = out.read_text()
+    t = json.loads(text)["t"]
+    assert text.count(f'"t": {t!r}') == 1
+    out.write_text(text.replace(f'"t": {t!r}', f'"t": {token}'))
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    _assert_refused(code, stdout, err)
+    assert "t must be finite" in err
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_verify_non_finite_kappa_still_fails_verification(tmp_path, capsys, token):
+    out = tmp_path / "mums.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(out)])[0] == 0
+    payload = json.loads(out.read_text())
+    payload["kappa"] = float(token)
+    out.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    assert code == 3
+    assert err == ""
+    assert json.loads(stdout, parse_constant=_reject_constant)["defects"]["stored_kappa"] is None
+
+
+def test_verify_refuses_boolean_entries(tmp_path, capsys):
+    # complex(False, False) is 0j: with every 0.0 written as false this state passed verify
+    out = tmp_path / "state.json"
+    assert run(capsys, ["gen-state", "--family", "max-entangled", "--d", "2", "-o", str(out)])[0] == 0
+    text = out.read_text()
+    assert "0.0," in text
+    out.write_text(text.replace("0.0,", "false,").replace("0.0]", "false]"))
+    assert "0.0" not in out.read_text()
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    _assert_refused(code, stdout, err)
+    assert "matrix entries" in err
 
 
 def _sha(text):
@@ -388,6 +464,78 @@ def test_parser_reuse_leaks_no_option(capsys, first, first_code, second):
     assert _build_parser() is parser
     if second == ["gen-mums", "--d", "3"]:
         assert _sha(expected[1]) == GEN_MUMS_D3_DIGEST
+
+
+@pytest.fixture
+def gc_state():
+    # leave the collector as the test found it, whatever the test does to it
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_cli_restores_the_collector(tmp_path, capsys, gc_state, enabled):
+    failing = tmp_path / "failing.json"
+    assert run(capsys, ["gen-mums", "--d", "2", "-o", str(failing)])[0] == 0
+    payload = json.loads(failing.read_text())
+    payload["elements"][0][0]["entries"][0][0] += 0.05
+    failing.write_text(json.dumps(payload))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps(MALFORMED_PAYLOADS["state-null-entry"]))
+    cases = [(["gen-mub", "--d", "3"], 0), (["gen-mub", "--bogus"], 2),
+             (["verify", str(malformed)], 2), (["verify", str(failing)], 3),
+             (["gen-mub", "--help"], 0)]
+    for argv, want in cases:
+        gc.enable() if enabled else gc.disable()
+        assert run(capsys, argv)[0] == want, argv
+        assert gc.isenabled() is enabled, argv
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_run_cli_restores_the_collector_when_a_command_raises(monkeypatch, gc_state, enabled):
+    seen = []
+
+    def boom(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen-mub", boom)
+    gc.enable() if enabled else gc.disable()
+    with pytest.raises(RuntimeError, match="boom"):
+        run_cli(["gen-mub", "--d", "3"])
+    assert seen == [False]
+    assert gc.isenabled() is enabled
+
+
+def test_large_artifacts_start_no_collection(tmp_path, capsys, gc_state):
+    # a d = 16 set is about 70k [re, im] lists; with the collector on, writing
+    # or reading one started about 100 collections, none of which freed anything
+    started = []
+
+    def count(phase, info):
+        # only collections started while run_cli is on the stack; the one that
+        # may follow once the collector is enabled again is not counted
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is run_cli.__code__:
+                started.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    out = str(tmp_path / "mums16.json")
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert run(capsys, ["gen-mums", "--d", "16", "-o", out])[0] == 0
+        assert run(capsys, ["verify", out])[0] == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert started == []
+    assert gc.isenabled()
 
 
 def test_sweep_isotropic_matches_closed_form(tmp_path, capsys):

@@ -8,6 +8,7 @@ from mumkit import (
     grouped_gell_mann_basis,
     trace_product,
     verify_orthonormal_basis,
+    weyl_operator,
     weyl_operators,
 )
 from mumkit.operator_basis import measurement_layout
@@ -92,6 +93,41 @@ def test_weyl_unitarity_d5():
         for t in range(5):
             u = w[s][t]
             assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-12
+
+
+def _weyl_operators_loop(d):
+    # the construction weyl_operator replaced, kept as its oracle
+    zeta = np.exp(2j * np.pi / d)
+    out = []
+    for s in range(d):
+        row = []
+        for t in range(d):
+            u = np.zeros((d, d), dtype=complex)
+            for j in range(d):
+                u[j, (j + t) % d] = zeta ** ((s * j) % d)
+            row.append(u)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 11])
+def test_weyl_operator_matches_loop_bytes(d):
+    want = _weyl_operators_loop(d)
+    every = weyl_operators(d)
+    for s in range(d):
+        for t in range(d):
+            u = weyl_operator(d, s, t)
+            assert u.dtype == complex and u.shape == (d, d)
+            assert u.tobytes() == want[s][t].tobytes(), (s, t)
+            assert every[s][t].tobytes() == want[s][t].tobytes(), (s, t)
+
+
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_weyl_operators_reject_small_d(d):
+    with pytest.raises(ValueError, match="at least 2"):
+        weyl_operators(d)
+    with pytest.raises(ValueError, match="at least 2"):
+        weyl_operator(d, 0, 0)
 
 
 def test_weyl_orthogonality():

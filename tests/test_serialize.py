@@ -70,6 +70,10 @@ WRONG_TYPED_MATRICES = {
     "entry-number": {"dim": 1, "entries": [5]},
     "entry-triple": {"dim": 1, "entries": [[1.0, 0.0, 0.0]]},
     "entry-overflows": {"dim": 1, "entries": [[10 ** 400, 0]]},
+    # complex(True, False) is 1+0j
+    "bool-real": {"dim": 1, "entries": [[True, 0.0]]},
+    "bool-imaginary": {"dim": 1, "entries": [[1.0, False]]},
+    "bool-last-entry": {"dim": 2, "entries": [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, False]]},
     "dim-null": {"dim": None, "entries": [[1.0, 0.0]]},
     "dim-string": {"dim": "1", "entries": [[1.0, 0.0]]},
     "dim-float": {"dim": 1.0, "entries": [[1.0, 0.0]]},
@@ -99,7 +103,8 @@ def test_wrong_typed_containers_raise_value_error():
             ser.mums_from_obj({"d": 1, "kappa": kappa, "elements": [[one]]})
     with pytest.raises(ValueError, match="d must be"):
         ser.state_from_obj({"d": [1], "rho": one})
-    for grid in ({"p": 1}, [[0.5, "0.5"]], [[0.5, None]], [[0.5], [0.25, 0.25]], [[True]], 5):
+    for grid in ({"p": 1}, [[0.5, "0.5"]], [[0.5, None]], [[0.5], [0.25, 0.25]], [[True]], 5,
+                 [[True, 0.0], [0.0, 0.0]], [[1, 0], [0, False]]):
         with pytest.raises(ValueError, match="probability grid"):
             ser.grid_from_obj(grid)
     assert ser.grid_from_obj([[1, 0], [0, 0]]).dtype == float
@@ -140,6 +145,17 @@ def test_mums_t_null_round_trip():
     obj = json.loads(json.dumps(ser.mums_to_obj(ms)))
     assert obj["t"] is None
     assert ser.mums_from_obj(obj).t is None
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+def test_mums_non_finite_t_raises(t):
+    obj = json.loads(json.dumps(ser.mums_to_obj(optimal_mums(2))))
+    obj["t"] = t
+    with pytest.raises(ValueError, match="t must be finite"):
+        ser.mums_from_obj(obj)
+    obj["t"] = True
+    with pytest.raises(ValueError, match="t must be a number"):
+        ser.mums_from_obj(obj)
 
 
 def test_state_round_trip():
