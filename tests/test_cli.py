@@ -84,6 +84,44 @@ def test_generated_artifact_bytes_are_frozen(tmp_path, capsys, argv):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_ARTIFACTS[argv]
 
 
+# SHA-256 of `verify` stdout on a generated artifact, and of `detect` stdout,
+# frozen before measurement sets became one (d+1, d, d, d) array
+FROZEN_VERIFY = {
+    ("gen-mums", "--d", "3"):
+        "b521c434d2511281e9d65ae41778676cfd4bbc00b564931c3fe11e29d12af737",
+    ("gen-mums", "--d", "6"):
+        "f497baa38192ba98b8aa0cf6683006fb34becc0d3b6aecd017f7f8aa08cbd87d",
+    ("gen-mums", "--d", "16"):
+        "32866e54f20271f30663c98c159ad8c042b3c4de1816d3aab6d44e20bd118edf",
+    ("gen-mums", "--max-t", "--d", "6"):
+        "bb72cf5935581f76323e9bb34bc79a14174fed6f6e0f7cfbe79c16742d6680db",
+    ("gen-mub", "--d", "7"):
+        "21f51fc8a303bbfe91ba1a77e455f93f837bb752249d781eca4904f6ef847c35",
+}
+FROZEN_DETECT = {
+    ("detect", "--criterion", "mum", "--family", "isotropic", "--d", "6", "--alpha", "0.2"):
+        "275090ddcae656ab93685fb2f92292ac575c8dfd9906a050803972a35ef7f00a",
+    ("detect", "--criterion", "correlation", "--family", "max-entangled", "--d", "4"):
+        "4882420978e598404cf760f6719e84e077329da76f64ad3200a0f227bf602f2f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_VERIFY), ids=" ".join)
+def test_verify_report_bytes_are_frozen(tmp_path, capsys, argv):
+    out = tmp_path / "artifact.json"
+    assert run(capsys, list(argv) + ["-o", str(out)])[0] == 0
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    assert code == 0, err
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_VERIFY[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_DETECT), ids=" ".join)
+def test_detect_report_bytes_are_frozen(capsys, argv):
+    code, stdout, err = run(capsys, list(argv))
+    assert code == 0, err
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_DETECT[argv]
+
+
 def test_gen_state_bell_diagonal_round_trip(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     p_file.write_text(json.dumps([[0.4, 0.2, 0.1], [0.1, 0.05, 0.05], [0.05, 0.025, 0.025]]))

@@ -22,6 +22,7 @@ from mumkit import (
     max_entangled,
     mub_criterion,
     mub_prime,
+    mub_triple_d6,
     mum_criterion,
     mums_from_mubs,
     optimal_mums,
@@ -247,6 +248,29 @@ def test_mub_criterion_maximally_mixed():
 def test_mub_criterion_detects_above_threshold():
     report = mub_criterion(isotropic(3, 0.3), mub_prime(3))  # 0.3 > 1/(d+1)
     assert report.verdict == "entangled"
+
+
+def mub_value_by_kron_loop(state, bases):
+    # the per-vector loop mub_criterion ran before the witness contraction
+    value = 0.0
+    for b in bases.bases:
+        for i in range(bases.d):
+            w = np.kron(b[:, i], b[:, i].conj())
+            value += float((w.conj() @ state.rho @ w).real)
+    return value
+
+
+@pytest.mark.parametrize("make", [lambda: mub_prime(2), lambda: mub_prime(3),
+                                  lambda: mub_prime(5), lambda: mub_prime(7), mub_triple_d6],
+                         ids=["d2", "d3", "d5", "d7", "d6-triple"])
+def test_mub_criterion_matches_kron_loop(make):
+    bases = make()
+    d = bases.d
+    states = [isotropic(d, 0.3), max_entangled(d), random_separable(d, 4, 11)]
+    states += [random_density(d, 60 + seed) for seed in range(3)]
+    for st in states:
+        assert mub_criterion(st, bases).value == pytest.approx(
+            mub_value_by_kron_loop(st, bases), abs=1e-14)
 
 
 def test_mub_criterion_rejects_biased_bases():
