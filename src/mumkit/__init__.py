@@ -24,7 +24,7 @@ from .criteria import (
     setting_distributions,
     simulate_counts,
 )
-from .linalg import hermitian_eigen, is_psd, kron, trace_product
+from .linalg import trace_product
 from .mub import (
     BasisSet,
     CompositeDimensionError,
@@ -49,7 +49,6 @@ from .mum import (
 )
 from .operator_basis import (
     OperatorBasis,
-    assign_grid,
     gell_mann_basis,
     grouped_gell_mann_basis,
     verify_orthonormal_basis,
@@ -84,7 +83,6 @@ __all__ = [
     "ShotEstimate",
     "VerificationReport",
     "Xoshiro256",
-    "assign_grid",
     "bell_choice",
     "bell_detection_threshold",
     "bell_diagonal",
@@ -94,14 +92,11 @@ __all__ = [
     "correlation_matrix_trace",
     "gell_mann_basis",
     "grouped_gell_mann_basis",
-    "hermitian_eigen",
-    "is_psd",
     "isotropic",
     "j_correlation_identity",
     "j_isotropic_closed",
     "j_value",
     "kappa_from_t",
-    "kron",
     "max_entangled",
     "max_valid_t",
     "mub_criterion",

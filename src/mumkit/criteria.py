@@ -11,16 +11,17 @@ J is evaluated as Tr(W rho) with the witness W = sum_{b,n} P_n^(b) (x) Q_n^(b).
 With rho realigned into R, Tr((A (x) B) rho) = vec(A) @ R @ vec(B), so J
 is one inner product of R with the realigned witness P^T Q, where the
 rows of P and Q are the flattened elements.  The correlation-matrix
-trace is the same form with the operator basis on both sides, and each
-setting's joint distribution is P_b @ R @ Q_b^T.  Under the conjugate
-pairing J also has the fidelity form
+trace is the same form with the operator basis on both sides, the
+unbiased-bases sum the same form on the bases' rank-one projectors
+(kappa = 1) paired with their conjugates, and each setting's joint
+distribution is P_b @ R @ Q_b^T.  Under the conjugate pairing J also has
+the fidelity form
 
     J = (d+1)/d + ((d kappa - 1)/(d - 1)) (d F - 1/d),  F = <Phi+|rho|Phi+>.
 
-The module also provides the older unbiased-bases criterion, the
-correlation-matrix identity that ties J to Tr(T), the Bell-diagonal
-pairing that realizes the c kappa (d+1) lower bound, and a finite-shot
-estimator of J.
+The module also provides the correlation-matrix identity that ties J
+to Tr(T), the Bell-diagonal pairing that realizes the c kappa (d+1)
+lower bound, and a finite-shot estimator of J.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import require_hermitian, trace_product
-from .mub import BasisSet, verify_mub
+from .mub import BasisSet, projectors, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
 from .operator_basis import OperatorBasis, weyl_operator
 from .rng import Xoshiro256
@@ -70,10 +71,6 @@ def _flat(elements) -> np.ndarray:
     return a.reshape(len(a), -1)
 
 
-def _mum_flat(ms: MumSet) -> np.ndarray:
-    return _flat([p for row in ms.elements for p in row])
-
-
 def _realigned(state: BipartiteState) -> np.ndarray:
     """R with Tr((A (x) B) rho) = vec(A) @ R @ vec(B) for d x d operators A, B.
 
@@ -106,7 +103,10 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
 def j_value(state: BipartiteState, pset: MumSet, qset: MumSet) -> float:
     """The coincidence sum J(rho) for a pair of measurement sets."""
     _check_pairing(state, pset, qset)
-    total = _witness_expectation(_mum_flat(pset), _mum_flat(qset), _realigned(state))
+    d2 = state.d * state.d
+    total = _witness_expectation(
+        pset.elements.reshape(-1, d2), qset.elements.reshape(-1, d2), _realigned(state)
+    )
     if abs(total.imag) > _IMAG_TOL:
         raise ValueError(
             f"J accumulated a non-real value (imag {total.imag:.3e}); "
@@ -145,7 +145,9 @@ def mub_criterion(
     The second subsystem is measured in the conjugated basis, the
     pairing under which the maximally entangled state shows perfect
     correlations in every basis (and the isotropic value takes the form
-    m(alpha + (1-alpha)/d)).
+    m(alpha + (1-alpha)/d)).  I_m is the witness contraction of
+    :func:`j_value` on the bases' rank-one projectors paired with their
+    conjugates; it needs no complete set.
     """
     if bases.m < 2:
         raise ValueError(f"need at least two bases, got {bases.m}")
@@ -154,11 +156,8 @@ def mub_criterion(
     report = verify_mub(bases, tol=1e-10)
     if not report.passed:
         raise ValueError(f"bases failed MUB verification: {report.summary()}")
-    value = 0.0
-    for b in bases.bases:
-        for i in range(bases.d):
-            w = np.kron(b[:, i], b[:, i].conj())
-            value += float((w.conj() @ state.rho @ w).real)
+    p = projectors(bases).reshape(-1, state.d * state.d)
+    value = float(_witness_expectation(p, p.conj(), _realigned(state)).real)
     bound = 1.0 + (bases.m - 1) / bases.d
     return DetectionReport(
         criterion="mub",
@@ -259,7 +258,7 @@ def setting_distributions(
     r = _realigned(state)
     out = []
     for b in range(state.d + 1):
-        q = _flat(pset.elements[b]) @ r @ _flat(qset.elements[b]).T
+        q = pset.elements[b].reshape(state.d, -1) @ r @ qset.elements[b].reshape(state.d, -1).T
         if float(np.abs(q.imag).max()) > _IMAG_TOL:
             raise ValueError(f"setting {b + 1} produced complex outcome probabilities")
         q = q.real

@@ -27,11 +27,6 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "ma
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor major."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     """Tr(a @ b) without materializing the product."""
     a = as_matrix(a)
@@ -39,16 +34,3 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch in trace_product: {a.shape} vs {b.shape}")
     return complex(np.einsum("ij,ji->", a, b))
-
-
-def hermitian_eigen(a: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    a = require_hermitian(a, tol)
-    w, v = np.linalg.eigh(a)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff the Hermitian matrix a has no eigenvalue below -tol."""
-    a = require_hermitian(a)
-    return bool(np.linalg.eigvalsh(a).min() >= -tol)

@@ -120,6 +120,12 @@ def mub_triple_d6() -> BasisSet:
     return tensor_product_bases(mub_prime(2), mub_prime(3))
 
 
+def projectors(bs: BasisSet) -> np.ndarray:
+    """Rank-one projectors |b_n><b_n| of every basis vector, an (m, d, d, d) array [k][n]."""
+    v = np.asarray(bs.bases, dtype=complex).reshape(-1, bs.d, bs.d).transpose(0, 2, 1)
+    return v[..., :, None] * v[..., None, :].conj()
+
+
 def mums_from_mubs(bs: BasisSet, tol: float = 1e-10):
     """Lift a complete MUB set into rank-one projective measurements (kappa = 1)."""
     from .mum import MumSet  # local import to avoid a cycle
@@ -130,7 +136,4 @@ def mums_from_mubs(bs: BasisSet, tol: float = 1e-10):
     report = verify_mub(bs, tol)
     if not report.passed:
         raise ValueError(f"basis set failed MUB verification: {report.summary()}")
-    elements = tuple(
-        tuple(np.outer(b[:, n], b[:, n].conj()) for n in range(d)) for b in bs.bases
-    )
-    return MumSet(d=d, elements=elements, kappa=1.0, t=None)
+    return MumSet(d=d, elements=projectors(bs), kappa=1.0, t=None)

@@ -43,19 +43,31 @@ class PositivityError(ValueError):
 
 @dataclass(frozen=True)
 class MumSet:
-    """d+1 measurements of d POVM elements each, elements[b-1][n-1]."""
+    """d+1 measurements of d POVM elements each, one (d+1, d, d, d) array.
+
+    ``elements[b-1][n-1]`` is P_n^(b).  Any nested sequence of that shape
+    is accepted and stored as a complex array.
+    """
 
     d: int
-    elements: tuple[tuple[np.ndarray, ...], ...]
+    elements: np.ndarray
     kappa: float
     t: float | None = None
     source_basis: OperatorBasis | None = None
 
     def __post_init__(self):
-        if len(self.elements) != self.d + 1 or any(len(row) != self.d for row in self.elements):
+        d = self.d
+        try:
+            elements = np.asarray(self.elements, dtype=complex)
+        except ValueError:  # a ragged grid
+            elements = None
+        if d < 2 or elements is None or elements.shape != (d + 1, d, d, d):
+            got = "a ragged grid" if elements is None else f"shape {elements.shape}"
             raise ValueError(
-                f"a measurement set for d={self.d} is a ({self.d + 1} x {self.d}) grid of operators"
+                f"a measurement set for d={d} is a (d+1, d, d, d) array of operators "
+                f"with d >= 2, got {got}"
             )
+        object.__setattr__(self, "elements", elements)
 
 
 def optimal_kappa(d: int) -> float:
@@ -112,14 +124,16 @@ def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     """
     d = _verified(basis).d
     eye = np.eye(d, dtype=complex)
-    rows = [eye / d + t * f for f in _measurement_directions(basis)]
+    rows = np.empty((d + 1, d, d, d), dtype=complex)
+    for b, f in enumerate(_measurement_directions(basis)):
+        rows[b] = eye / d + t * f
     lam = np.array([min_eigenvalues(row) for row in rows])
     b, n = np.unravel_index(np.argmin(lam), lam.shape)
     if lam[b, n] < -_BUILD_PSD_TOL:
         raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
     return MumSet(
         d=d,
-        elements=tuple(tuple(row) for row in rows),
+        elements=rows,
         kappa=float(kappa_from_t(d, t)),
         t=float(t),
         source_basis=basis,
@@ -151,13 +165,17 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
 
     The purity is inferred as the mean of same-(n, b) purities; the
     report carries it (with its spread) and checks it against the stored
-    kappa.
+    kappa.  A stored t fixes kappa through :func:`kappa_from_t`, so
+    ``stored_kappa`` also holds their mismatch.
     """
     d = ms.d
     eye = np.eye(d)
     k = operator_defects(ms.elements, cross_target=1.0 / d, eigenvalues=True)
     purities = np.concatenate([np.diagonal(g).real for g in k.same])
     kappa_inferred = float(np.mean(purities))
+    stored = [kappa_inferred - ms.kappa]
+    if ms.t is not None:
+        stored.append(kappa_from_t(d, ms.t) - ms.kappa)
     off_target = (1.0 - kappa_inferred) / (d - 1)
     upper = np.triu_indices(d, 1)
     return VerificationReport(
@@ -167,11 +185,11 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
             "hermiticity": k.hermiticity,
             "psd": worst(np.minimum(k.min_eigenvalues, 0.0)),
             "trace_one": worst(k.traces - 1.0),
-            "completeness": max(worst(sum(row) - eye) for row in ms.elements),
+            "completeness": worst(ms.elements.sum(axis=1) - eye),
             "cross_basis": k.cross,
             "purity_spread": worst(purities - kappa_inferred),
             "off_diagonal": max(worst(g[upper] - off_target) for g in k.same),
-            "stored_kappa": worst(kappa_inferred - ms.kappa),
+            "stored_kappa": worst(stored),
         },
         details={"kappa_inferred": kappa_inferred},
     )
@@ -188,7 +206,7 @@ def conjugate_mums(ms: MumSet) -> MumSet:
         )
     return MumSet(
         d=ms.d,
-        elements=tuple(tuple(p.conj() for p in row) for row in ms.elements),
+        elements=ms.elements.conj(),
         kappa=ms.kappa,
         t=ms.t,
         source_basis=basis,
@@ -212,7 +230,7 @@ def rotate_mums(ms: MumSet, u: np.ndarray, tol: float = 1e-10) -> MumSet:
         )
     return MumSet(
         d=ms.d,
-        elements=tuple(tuple(u @ p @ uh for p in row) for row in ms.elements),
+        elements=u @ ms.elements @ uh,
         kappa=ms.kappa,
         t=ms.t,
         source_basis=basis,

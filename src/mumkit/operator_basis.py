@@ -10,8 +10,8 @@ Elements carry (n, b) labels that group them into d+1 measurement
 families of d-1 operators each.  Two orderings are provided:
 
 * :func:`gell_mann_basis` lists all symmetric pairs, then all
-  antisymmetric pairs, then the diagonals, and labels that flat list
-  with the block rule of :func:`assign_grid`.
+  antisymmetric pairs, then the diagonals, and labels flat index i
+  with the block rule b = i div (d-1) + 1, n = i mod (d-1) + 1.
 * :func:`grouped_gell_mann_basis` lists the same elements family by
   family, with families chosen by a Hamiltonian path decomposition of
   the pair-index graph.  This layout keeps every measurement operator
@@ -21,7 +21,7 @@ families of d-1 operators each.  Two orderings are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,8 +106,8 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     """The generalized Gell-Mann basis in enumeration order.
 
     Flat order: symmetric pairs in lexicographic (j, k), antisymmetric
-    pairs in lexicographic (j, k), diagonals by l.  Labels follow the
-    block rule of :func:`assign_grid`.
+    pairs in lexicographic (j, k), diagonals by l.  Flat index i is
+    labelled by the block rule b = i div (d-1) + 1, n = i mod (d-1) + 1.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -121,11 +121,6 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     for l in range(1, d):
         elements.append(_diag(d, l))
     return OperatorBasis(d=d, elements=tuple(elements), labels=_grid_labels(d))
-
-
-def assign_grid(basis: OperatorBasis) -> OperatorBasis:
-    """Relabel a basis with the block rule b = i div (d-1) + 1, n = i mod (d-1) + 1."""
-    return replace(basis, labels=_grid_labels(basis.d))
 
 
 def _zigzag(start: int, n: int) -> list[int]:

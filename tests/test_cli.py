@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mumkit import j_isotropic_closed, optimal_kappa
+from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa
 from mumkit import cli
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
@@ -345,6 +345,14 @@ MALFORMED_PAYLOADS = {
     "basis-of-numbers": [1, 2],
     "mub-bases-number": {"d": 2, "bases": 5},
     "mums-elements-number": {"d": 2, "kappa": 0.5, "elements": 5},
+    # d = 0 and d = 1 reached verify_mums and raised ZeroDivisionError
+    "mums-d0": {"d": 0, "kappa": 1.0, "t": None, "elements": [[]]},
+    "mums-d1": {"d": 1, "kappa": 1.0, "t": None,
+                "elements": [[{"dim": 1, "entries": [[1.0, 0.0]]}]] * 2},
+    "mums-d2-of-3x3": {"d": 2, "kappa": 0.5, "t": None,
+                       "elements": [[{"dim": 3, "entries": [[1 / 3, 0.0]] * 9}] * 2] * 3},
+    "mums-ragged": {"d": 2, "kappa": 0.5, "t": None,
+                    "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * n for n in (2, 2, 1)]},
 }
 
 
@@ -441,6 +449,21 @@ def test_verify_refuses_non_finite_t(tmp_path, capsys, token):
     code, stdout, err = run(capsys, ["verify", str(out)])
     _assert_refused(code, stdout, err)
     assert "t must be finite" in err
+
+
+def test_verify_checks_t_against_kappa(tmp_path, capsys):
+    # kappa_from_t(d, t) fixes kappa; a t rewritten on its own passed verify
+    out = tmp_path / "mums.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(out)])[0] == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert text.count(f'"t": {payload["t"]!r}') == 1
+    out.write_text(text.replace(f'"t": {payload["t"]!r}', '"t": 0.123'))
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    assert code == 3
+    assert err == ""
+    want = abs(kappa_from_t(3, 0.123) - payload["kappa"])
+    assert json.loads(stdout)["defects"]["stored_kappa"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])

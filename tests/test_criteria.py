@@ -18,7 +18,6 @@ from mumkit import (
     j_correlation_identity,
     j_isotropic_closed,
     j_value,
-    kron,
     max_entangled,
     mub_criterion,
     mub_prime,
@@ -41,7 +40,7 @@ def j_by_explicit_kron(state, pset, qset):
     total = 0.0
     for row_p, row_q in zip(pset.elements, qset.elements):
         for p, q in zip(row_p, row_q):
-            total += float(trace_product(kron(p, q), state.rho).real)
+            total += float(trace_product(np.kron(p, q), state.rho).real)
     return total
 
 
@@ -289,7 +288,7 @@ def test_correlation_trace_max_entangled():
     d = 3
     st = max_entangled(d)
     basis = gell_mann_basis(d)
-    raw = sum(float(trace_product(kron(f, f), st.rho).real) for f in basis.elements)
+    raw = sum(float(trace_product(np.kron(f, f), st.rho).real) for f in basis.elements)
     assert raw == pytest.approx((d - 1) / d, abs=1e-10)  # = 2/3
     assert correlation_matrix_trace(st, basis) == pytest.approx(raw / 2, abs=1e-10)
     assert correlation_matrix_trace(st, basis) == pytest.approx(correlation_bound(d), abs=1e-10)

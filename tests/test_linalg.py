@@ -3,48 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mumkit import Xoshiro256, gell_mann_basis, hermitian_eigen, is_psd, isotropic, kron, trace_product
+from mumkit import Xoshiro256, gell_mann_basis, trace_product
+from mumkit.linalg import require_hermitian
 
 
 def seeded_complex(seed, n):
     gen = Xoshiro256(seed)
     return gen.complex_normals(n * n).reshape(n, n)
-
-
-def seeded_hermitian(seed, n):
-    g = seeded_complex(seed, n)
-    return (g + g.conj().T) / 2
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_projectors():
-    p = np.diag([1.0, 0.0]).astype(complex)
-    assert np.array_equal(kron(p, p), np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-
-
-def test_kron_matches_elementwise_definition():
-    a = seeded_complex(10, 3)
-    b = seeded_complex(11, 3)
-    got = kron(a, b)
-    # oracle: entry ((i,k),(j,l)) = a[i,j] b[k,l]
-    want = np.empty((9, 9), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                for l in range(3):
-                    want[i * 3 + k, j * 3 + l] = a[i, j] * b[k, l]
-    assert np.abs(got - want).max() < 1e-12
-    assert abs(np.trace(got) - np.trace(a) * np.trace(b)) < 1e-12
-
-
-def test_kron_associative_on_integer_matrices():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 1], [1, 1]], dtype=complex)
-    c = np.array([[2, 0], [0, 5]], dtype=complex)
-    assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -69,47 +34,9 @@ def test_trace_product_dimension_mismatch():
         trace_product(np.eye(2), np.eye(3))
 
 
-def test_hermitian_eigen_diagonal():
-    w, _ = hermitian_eigen(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(w, [3.0, 1.0])
-
-
-def test_hermitian_eigen_pauli_x():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, v = hermitian_eigen(x)
-    assert np.allclose(w, [1.0, -1.0])
-    assert np.abs(v @ np.diag(w) @ v.conj().T - x).max() < 1e-12
-
-
-def test_hermitian_eigen_reconstruction():
-    a = seeded_hermitian(42, 6)
-    w, v = hermitian_eigen(a)
-    assert list(w) == sorted(w, reverse=True)
-    assert np.abs(v @ np.diag(w) @ v.conj().T - a).max() < 1e-10
-    assert np.abs(v.conj().T @ v - np.eye(6)).max() < 1e-10
-    assert w.sum() == pytest.approx(np.trace(a).real, abs=1e-10)
-
-
-def test_hermitian_eigen_rejects_non_hermitian():
+def test_require_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_is_psd_identity():
-    assert is_psd(np.eye(3), tol=1e-12)
-
-
-def test_is_psd_indefinite():
-    assert not is_psd(np.diag([1.0, -0.5]).astype(complex), tol=1e-12)
-
-
-def test_is_psd_isotropic_state():
-    state = isotropic(3, 0.5)
-    # oracle: isotropic spectrum is alpha + (1-alpha)/d^2 once, (1-alpha)/d^2 repeated
-    want = np.array([0.5 + 0.5 / 9] + [0.5 / 9] * 8)
-    got = np.sort(np.linalg.eigvalsh(state.rho))[::-1]
-    assert np.abs(got - want).max() < 1e-12
-    assert is_psd(state.rho)
+        require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 @settings(max_examples=25, derandomize=True)

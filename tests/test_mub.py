@@ -11,6 +11,7 @@ from mumkit import (
     verify_mub,
     verify_mums,
 )
+from mumkit.mub import projectors
 
 
 def test_qubit_mubs():
@@ -57,6 +58,19 @@ def test_per_basis_completeness(d):
     for b in mub_prime(d).bases:
         total = sum(np.outer(b[:, i], b[:, i].conj()) for i in range(d))
         assert np.abs(total - np.eye(d)).max() < 1e-10
+
+
+@pytest.mark.parametrize("make", [lambda: mub_prime(2), lambda: mub_prime(3),
+                                  lambda: mub_prime(7), mub_triple_d6],
+                         ids=["d2", "d3", "d7", "d6-triple"])
+def test_projectors_match_outer_products(make):
+    # the per-column outer products mums_from_mubs built before the broadcast
+    bs = make()
+    got = projectors(bs)
+    assert got.shape == (bs.m, bs.d, bs.d, bs.d)
+    for k, b in enumerate(bs.bases):
+        for n in range(bs.d):
+            assert got[k, n].tobytes() == np.outer(b[:, n], b[:, n].conj()).tobytes()
 
 
 def test_lift_d2_gives_projective_measurements():

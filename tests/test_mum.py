@@ -160,6 +160,32 @@ def test_inferred_kappa_matches_stored(d):
     assert report.details["kappa_inferred"] == pytest.approx(optimal_kappa(d), abs=1e-9)
 
 
+def test_elements_are_one_array():
+    ms = optimal_mums(3)
+    assert ms.elements.shape == (4, 3, 3, 3)
+    assert ms.elements.dtype == complex
+    nested = MumSet(d=3, elements=tuple(tuple(row) for row in ms.elements), kappa=ms.kappa)
+    assert np.array_equal(nested.elements, ms.elements)
+
+
+@pytest.mark.parametrize("d", list(range(2, 9)) + [16])
+def test_stacked_transforms_match_per_element_forms(d):
+    # the per-element forms conjugate_mums, rotate_mums and the completeness
+    # check of verify_mums used while elements were a nested tuple
+    u = weyl_operators(d)[1][d - 1]
+    for make in (gell_mann_basis, grouped_gell_mann_basis):
+        basis = make(d)
+        ms = build_mums(basis, max_valid_t(basis))
+        conj, rot = conjugate_mums(ms), rotate_mums(ms, u)
+        completeness = max(float(np.abs(sum(row) - np.eye(d)).max()) for row in ms.elements)
+        assert verify_mums(ms).defects["completeness"] == completeness
+        for b in range(d + 1):
+            for n in range(d):
+                p = ms.elements[b][n]
+                assert conj.elements[b][n].tobytes() == p.conj().tobytes()
+                assert rot.elements[b][n].tobytes() == (u @ p @ u.conj().T).tobytes()
+
+
 def test_conjugate_on_real_elements_is_identity():
     eye = np.eye(2, dtype=complex) / 2
     fake = MumSet(d=2, elements=((eye, eye), (eye, eye), (eye, eye)), kappa=0.6)

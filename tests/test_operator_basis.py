@@ -3,7 +3,6 @@ import pytest
 
 from mumkit import (
     OperatorBasis,
-    assign_grid,
     gell_mann_basis,
     grouped_gell_mann_basis,
     trace_product,
@@ -71,8 +70,7 @@ def test_wrong_element_count_rejected():
 
 
 def test_assign_grid_matches_block_rule():
-    basis = assign_grid(gell_mann_basis(4))
-    for i, (n, b) in enumerate(basis.labels):
+    for i, (n, b) in enumerate(gell_mann_basis(4).labels):
         assert b == i // 3 + 1
         assert n == i % 3 + 1
 

@@ -38,6 +38,14 @@ def test_isotropic_endpoints():
     assert np.abs(isotropic(d, 1.0).rho - max_entangled(d).rho).max() < 1e-15
 
 
+def test_isotropic_spectrum():
+    state = isotropic(3, 0.5)
+    # oracle: isotropic spectrum is alpha + (1-alpha)/d^2 once, (1-alpha)/d^2 repeated
+    want = np.array([0.5 + 0.5 / 9] + [0.5 / 9] * 8)
+    got = np.sort(np.linalg.eigvalsh(state.rho))[::-1]
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_isotropic_alpha_range():
     with pytest.raises(ValueError, match="alpha"):
         isotropic(3, 1.2)
