@@ -73,6 +73,13 @@ FROZEN_ARTIFACTS = {
         "f58e49d6684e68b87c0c32858f19576b735b9ab7f1db62bf444fd13b11a93420",
     ("gen-state", "--family", "random-separable", "--d", "4", "--seed", "7"):
         "fa0989fc674d30a671401119ebb4e3042f6691b62abe5d07475d8227fbd6dbce",
+    # frozen before operator bases, basis sets and states became one array each
+    ("gen-basis", "--layout", "grouped", "--d", "7"):
+        "1796b983db9d061e0fe610d09a75592986b307952a55ac652c1f65230401b049",
+    ("gen-mums", "--layout", "plain", "--d", "3"):
+        "44430aabd43edc670dd312e5ecdc172d9a1814cda06b2d4ac6222047792271ed",
+    ("gen-mums", "--layout", "plain", "--max-t", "--d", "5"):
+        "c5df19cafc6a2136046da8873b7ba475e7a2add00b4ae3362e8695bc39eda4ce",
 }
 
 
@@ -97,12 +104,29 @@ FROZEN_VERIFY = {
         "bb72cf5935581f76323e9bb34bc79a14174fed6f6e0f7cfbe79c16742d6680db",
     ("gen-mub", "--d", "7"):
         "21f51fc8a303bbfe91ba1a77e455f93f837bb752249d781eca4904f6ef847c35",
+    # frozen before operator bases, basis sets and states became one array
+    # each; the three basis reports happen to carry the same defects
+    ("gen-basis", "--d", "6"):
+        "975a0734d56e3f7a007acc3edc000c69a1d05a05264f0eb11c96c1f070002426",
+    ("gen-basis", "--d", "16"):
+        "975a0734d56e3f7a007acc3edc000c69a1d05a05264f0eb11c96c1f070002426",
+    ("gen-basis", "--layout", "grouped", "--d", "7"):
+        "975a0734d56e3f7a007acc3edc000c69a1d05a05264f0eb11c96c1f070002426",
+    ("gen-mub", "--d", "3"):
+        "252de26afb9a4d595edb54aea42946c216f8cf06bb9e3b556169247e684bd2bc",
+    ("gen-state", "--family", "isotropic", "--d", "6", "--alpha", "0.3"):
+        "e027b061ee0a702234eaad5580c1167efc34896848e3e3c4ebb54210b93cf78e",
 }
 FROZEN_DETECT = {
     ("detect", "--criterion", "mum", "--family", "isotropic", "--d", "6", "--alpha", "0.2"):
         "275090ddcae656ab93685fb2f92292ac575c8dfd9906a050803972a35ef7f00a",
     ("detect", "--criterion", "correlation", "--family", "max-entangled", "--d", "4"):
         "4882420978e598404cf760f6719e84e077329da76f64ad3200a0f227bf602f2f",
+    # frozen before measurement stacks with fewer than d + 1 settings
+    ("detect", "--criterion", "mub", "--family", "isotropic", "--d", "3", "--alpha", "0.3"):
+        "7ee9c74835abd16b24d780e11142c2e0d90a353445c653b0dd78562dd9e42f64",
+    ("detect", "--criterion", "mub", "--family", "isotropic", "--d", "7", "--alpha", "0.2"):
+        "ac5fad9e8f7540ce9b070b7f5576299a598907ac08afce8001c5289c43a15fb4",
 }
 
 
