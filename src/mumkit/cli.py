@@ -74,7 +74,6 @@ class SweepSpec:
     kappa: float | str = "optimal"
     pairing: str = "conjugate"
     tol: float = VERDICT_TOL
-    output: str | None = None
 
     def __post_init__(self):
         if self.family not in ("isotropic", "bell-diagonal"):
@@ -398,8 +397,8 @@ def _cmd_sweep(args) -> int:
         raise CliError(f"--param must be start:stop:step, got {args.param!r}")
     start, stop, step = (float(x) for x in parts)
     spec = SweepSpec(family=args.family, d=args.d, start=start, stop=stop, step=step,
-                     kappa=kappa, pairing=args.pairing, tol=args.tol, output=args.output)
-    _write(emit_figure_data(spec), spec.output)
+                     kappa=kappa, pairing=args.pairing, tol=args.tol)
+    _write(emit_figure_data(spec), args.output)
     return 0
 
 

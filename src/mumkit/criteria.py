@@ -34,6 +34,7 @@ from .linalg import require_hermitian, trace_product
 from .mub import BasisSet, projectors, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
 from .operator_basis import OperatorBasis, weyl_operator
+from .reporting import worst
 from .rng import Xoshiro256
 from .states import BipartiteState, _probability_grid
 
@@ -65,12 +66,6 @@ def _verdict(value: float, bound: float, tol: float) -> str:
     return "entangled" if value > bound + tol else "inconclusive"
 
 
-def _flat(elements) -> np.ndarray:
-    """A sequence of k d x d operators as the (k, d^2) stack of their row-major vec."""
-    a = np.array(elements)
-    return a.reshape(len(a), -1)
-
-
 def _realigned(state: BipartiteState) -> np.ndarray:
     """R with Tr((A (x) B) rho) = vec(A) @ R @ vec(B) for d x d operators A, B.
 
@@ -83,8 +78,8 @@ def _realigned(state: BipartiteState) -> np.ndarray:
 def _witness_expectation(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> complex:
     """sum_u Tr((A_u (x) B_u) rho) = Tr(W rho) with W = sum_u A_u (x) B_u.
 
-    ``a`` and ``b`` are flattened stacks (see :func:`_flat`) and ``r`` is
-    the realigned state; the realigned witness is a.T @ b.
+    ``a`` and ``b`` are (k, d^2) stacks of the operators' row-major vec
+    and ``r`` is the realigned state; the realigned witness is a.T @ b.
     """
     return complex(np.vdot((a.T @ b).conj(), r))
 
@@ -185,7 +180,7 @@ def correlation_matrix_trace(state: BipartiteState, basis: OperatorBasis) -> flo
     """
     if basis.d != state.d:
         raise ValueError(f"dimension mismatch: state d={state.d}, basis d={basis.d}")
-    fs = _flat(basis.elements)
+    fs = basis.elements.reshape(-1, state.d * state.d)
     return 0.5 * float(_witness_expectation(fs, fs, _realigned(state)).real)
 
 
@@ -195,15 +190,14 @@ def j_correlation_identity(
     """Both sides of J(rho, P, P) = (d+1)/d + (2(d kappa - 1)/(d-1)) Tr(T).
 
     The measurement set must have been built from the supplied basis
-    (same elements, same grid, known t); otherwise the expansion does
-    not apply and a ValueError is raised.
+    (same elements in the same order, known t); otherwise the expansion
+    does not apply and a ValueError is raised.
     """
     if pset.t is None or pset.source_basis is None:
         raise ValueError("measurement set does not carry construction provenance")
     src = pset.source_basis
-    if src.d != basis.d or src.labels != basis.labels or any(
-        float(np.abs(a - b).max()) > 1e-12 for a, b in zip(src.elements, basis.elements)
-    ):
+    # worst() reads a non-finite entry as inf, so a NaN basis is refused too
+    if src.d != basis.d or worst(src.elements - basis.elements) > 1e-12:
         raise ValueError("measurement set was not built from the supplied operator basis")
     d = state.d
     lhs = j_value(state, pset, pset)

@@ -19,6 +19,23 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
+def as_stack(a, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
+    """``a`` as a complex array of exactly ``shape`` (None: none fits), else ValueError(what).
+
+    An input with no entries takes an empty ``shape``, such as (0, d, d).
+    """
+    try:
+        arr = np.asarray(a, dtype=complex)
+    except ValueError:  # a ragged grid
+        arr = None
+    if arr is not None and arr.size == 0 and shape is not None and 0 in shape:
+        arr = arr.reshape(shape)
+    if arr is None or arr.shape != shape:
+        got = "a ragged grid" if arr is None else f"shape {arr.shape}"
+        raise ValueError(f"{what}, got {got}")
+    return arr
+
+
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
     a = as_matrix(a)
     defect = float(np.abs(a - a.conj().T).max())

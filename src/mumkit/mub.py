@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_stack
 from .reporting import VerificationReport, worst
 
 
@@ -23,10 +24,16 @@ class CompositeDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class BasisSet:
-    """m orthonormal bases of C^d; each matrix holds the basis vectors as columns."""
+    """m orthonormal bases of C^d, one complex (m, d, d) array; each holds its vectors as columns."""
 
     d: int
-    bases: tuple[np.ndarray, ...]
+    bases: np.ndarray
+
+    def __post_init__(self):
+        d = self.d
+        object.__setattr__(self, "bases", as_stack(
+            self.bases, (len(self.bases), d, d) if d >= 2 else None,
+            f"a basis set for d={d} is an (m, d, d) array of matrices with d >= 2"))
 
     @property
     def m(self) -> int:
@@ -64,7 +71,7 @@ def mub_prime(d: int) -> BasisSet:
         s = 1 / np.sqrt(2)
         bases.append(np.array([[s, s], [s, -s]], dtype=complex))
         bases.append(np.array([[s, s], [1j * s, -1j * s]], dtype=complex))
-        return BasisSet(d=2, bases=tuple(bases))
+        return BasisSet(d=2, bases=bases)
     zeta = np.exp(2j * np.pi / d)
     for k in range(d):
         b = np.empty((d, d), dtype=complex)
@@ -72,7 +79,7 @@ def mub_prime(d: int) -> BasisSet:
             for l in range(d):
                 b[l, j] = zeta ** ((k * l * l + j * l) % d)
         bases.append(b / np.sqrt(d))
-    return BasisSet(d=d, bases=tuple(bases))
+    return BasisSet(d=d, bases=bases)
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -81,7 +88,7 @@ def verify_mub(bs: BasisSet, tol: float = 1e-10) -> VerificationReport:
 
     A set with no bases fails: both defects are inf.
     """
-    if not bs.bases:
+    if not bs.m:
         return VerificationReport(
             kind="mub-set", tol=tol, defects={"unitarity": math.inf, "unbiasedness": math.inf}
         )
@@ -111,8 +118,7 @@ def tensor_product_bases(a: BasisSet, b: BasisSet) -> BasisSet:
     d = 6, where no complete set is known.
     """
     m = min(a.m, b.m)
-    bases = tuple(np.kron(a.bases[k], b.bases[k]) for k in range(m))
-    return BasisSet(d=a.d * b.d, bases=bases)
+    return BasisSet(d=a.d * b.d, bases=[np.kron(a.bases[k], b.bases[k]) for k in range(m)])
 
 
 def mub_triple_d6() -> BasisSet:
@@ -122,7 +128,7 @@ def mub_triple_d6() -> BasisSet:
 
 def projectors(bs: BasisSet) -> np.ndarray:
     """Rank-one projectors |b_n><b_n| of every basis vector, an (m, d, d, d) array [k][n]."""
-    v = np.asarray(bs.bases, dtype=complex).reshape(-1, bs.d, bs.d).transpose(0, 2, 1)
+    v = bs.bases.transpose(0, 2, 1)
     return v[..., :, None] * v[..., None, :].conj()
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_stack
 from .operator_basis import OperatorBasis, grouped_gell_mann_basis, verify_orthonormal_basis
 from .reporting import VerificationReport, min_eigenvalues, operator_defects, worst
 
@@ -57,17 +58,9 @@ class MumSet:
 
     def __post_init__(self):
         d = self.d
-        try:
-            elements = np.asarray(self.elements, dtype=complex)
-        except ValueError:  # a ragged grid
-            elements = None
-        if d < 2 or elements is None or elements.shape != (d + 1, d, d, d):
-            got = "a ragged grid" if elements is None else f"shape {elements.shape}"
-            raise ValueError(
-                f"a measurement set for d={d} is a (d+1, d, d, d) array of operators "
-                f"with d >= 2, got {got}"
-            )
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", as_stack(
+            self.elements, (d + 1, d, d, d) if d >= 2 else None,
+            f"a measurement set for d={d} is a (d+1, d, d, d) array of operators with d >= 2"))
 
 
 def optimal_kappa(d: int) -> float:
@@ -95,18 +88,15 @@ def t_from_kappa(d: int, kappa: float, sign: str = "+") -> float:
 _BUILD_PSD_TOL = 1e-12
 
 
-def _measurement_directions(basis: OperatorBasis):
-    """Yield F_n^(b) for each family b = 1..d+1, as a (d, d, d) stack indexed by n - 1."""
+def _measurement_directions(basis: OperatorBasis) -> np.ndarray:
+    """F_n^(b) as a (d+1, d, d, d) array indexed [b-1][n-1]."""
     d = basis.d
-    for b in range(1, d + 2):
-        fam = basis.family(b)
-        if len(fam) != d - 1:
-            raise ValueError(f"family b={b} has {len(fam)} elements, expected {d - 1}")
-        fb = sum(fam)
-        f = np.empty((d, d, d), dtype=complex)
-        f[:-1] = fb - (d + np.sqrt(d)) * np.asarray(fam)
-        f[-1] = (1.0 + np.sqrt(d)) * fb
-        yield f
+    fam = basis.families
+    fb = fam.sum(axis=1)
+    f = np.empty((d + 1, d, d, d), dtype=complex)
+    f[:, :-1] = fb[:, None] - (d + np.sqrt(d)) * fam
+    f[:, -1] = (1.0 + np.sqrt(d)) * fb
+    return f
 
 
 def _verified(basis: OperatorBasis) -> OperatorBasis:
@@ -123,11 +113,11 @@ def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     element dips below -1e-12 in its spectrum.
     """
     d = _verified(basis).d
-    eye = np.eye(d, dtype=complex)
-    rows = np.empty((d + 1, d, d, d), dtype=complex)
-    for b, f in enumerate(_measurement_directions(basis)):
-        rows[b] = eye / d + t * f
-    lam = np.array([min_eigenvalues(row) for row in rows])
+    # in place: at d = 16 each temporary of this shape is 1 MiB
+    rows = _measurement_directions(basis)
+    rows *= t
+    rows += np.eye(d, dtype=complex) / d
+    lam = min_eigenvalues(rows.reshape(-1, d, d)).reshape(d + 1, d)
     b, n = np.unravel_index(np.argmin(lam), lam.shape)
     if lam[b, n] < -_BUILD_PSD_TOL:
         raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
@@ -153,7 +143,7 @@ def max_valid_t(basis: OperatorBasis) -> float:
     t = 1 / (d |lambda_min|), lambda_min taken over all n and b.
     """
     d = _verified(basis).d
-    lam = min(float(min_eigenvalues(f).min()) for f in _measurement_directions(basis))
+    lam = float(min_eigenvalues(np.reshape(_measurement_directions(basis), (-1, d, d))).min())
     if not lam < 0.0:
         raise ValueError(f"no measurement direction has a negative eigenvalue (min {lam!r}); "
                          "t is unbounded")
@@ -199,11 +189,7 @@ def conjugate_mums(ms: MumSet) -> MumSet:
     """Entrywise complex conjugate of every element; kappa is unchanged."""
     basis = ms.source_basis
     if basis is not None:
-        basis = OperatorBasis(
-            d=basis.d,
-            elements=tuple(el.conj() for el in basis.elements),
-            labels=basis.labels,
-        )
+        basis = OperatorBasis(d=basis.d, elements=basis.elements.conj())
     return MumSet(
         d=ms.d,
         elements=ms.elements.conj(),
@@ -223,11 +209,7 @@ def rotate_mums(ms: MumSet, u: np.ndarray, tol: float = 1e-10) -> MumSet:
     uh = u.conj().T
     basis = ms.source_basis
     if basis is not None:
-        basis = OperatorBasis(
-            d=basis.d,
-            elements=tuple(u @ el @ uh for el in basis.elements),
-            labels=basis.labels,
-        )
+        basis = OperatorBasis(d=basis.d, elements=u @ basis.elements @ uh)
     return MumSet(
         d=ms.d,
         elements=u @ ms.elements @ uh,

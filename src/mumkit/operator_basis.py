@@ -6,12 +6,13 @@ trace-orthonormal operators on C^d: symmetric pair operators
 -i(|j><k| - |k><j|)/sqrt(2), and diagonal operators
 (sum_{j<l} |j><j| - l |l><l|)/sqrt(l(l+1)).
 
-Elements carry (n, b) labels that group them into d+1 measurement
-families of d-1 operators each.  Two orderings are provided:
+A basis is one (d^2 - 1, d, d) array whose rows fall into d+1
+measurement families of d-1 operators each by the block rule: family b
+is rows (b-1)(d-1) to b(d-1) - 1, and row i carries the label
+(n, b) = (i mod (d-1) + 1, i div (d-1) + 1).  Two orderings are provided:
 
 * :func:`gell_mann_basis` lists all symmetric pairs, then all
-  antisymmetric pairs, then the diagonals, and labels flat index i
-  with the block rule b = i div (d-1) + 1, n = i mod (d-1) + 1.
+  antisymmetric pairs, then the diagonals.
 * :func:`grouped_gell_mann_basis` lists the same elements family by
   family, with families chosen by a Hamiltonian path decomposition of
   the pair-index graph.  This layout keeps every measurement operator
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_stack
 from .reporting import VerificationReport, operator_defects, worst
 
 # A basis is checked in chunks of at most this many matrix entries, the
@@ -35,34 +37,32 @@ _CHUNK_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """d^2 - 1 Hermitian traceless orthonormal operators with (n, b) labels."""
+    """d^2 - 1 Hermitian traceless orthonormal operators, one (d^2 - 1, d, d) array.
+
+    Row i is the element labelled (n, b) by the block rule, so family b
+    is ``elements[(b-1)(d-1):b(d-1)]``, which is ``families[b-1]``.
+    """
 
     d: int
-    elements: tuple[np.ndarray, ...]
-    labels: tuple[tuple[int, int], ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        if len(self.elements) != self.d * self.d - 1:
-            raise ValueError(
-                f"operator basis for d={self.d} needs {self.d * self.d - 1} elements, "
-                f"got {len(self.elements)}"
-            )
-        if len(self.labels) != len(self.elements):
-            raise ValueError("labels and elements must have equal length")
+        d = self.d
+        object.__setattr__(self, "elements", as_stack(
+            self.elements, (d * d - 1, d, d) if d >= 2 else None,
+            f"an operator basis for d={d} is a (d^2-1, d, d) array of operators with d >= 2"))
 
-    def element(self, n: int, b: int) -> np.ndarray:
-        """The element labelled (n, b), n in 1..d-1, b in 1..d+1."""
-        try:
-            return self.elements[self.labels.index((n, b))]
-        except ValueError:
-            raise KeyError(f"no element labelled (n={n}, b={b})") from None
+    @property
+    def families(self) -> np.ndarray:
+        """The d+1 measurement families as a (d+1, d-1, d, d) view, indexed [b-1][n-1]."""
+        d = self.d
+        return self.elements.reshape(d + 1, d - 1, d, d)
 
-    def family(self, b: int) -> list[np.ndarray]:
-        """Elements of measurement family b, ordered by n."""
-        members = sorted(
-            (n, el) for (n, bb), el in zip(self.labels, self.elements) if bb == b
-        )
-        return [el for _, el in members]
+    @property
+    def labels(self) -> tuple[tuple[int, int], ...]:
+        """The (n, b) label of each row, by the block rule."""
+        d = self.d
+        return tuple((i % (d - 1) + 1, i // (d - 1) + 1) for i in range(d * d - 1))
 
 
 def _sym(d: int, j: int, k: int) -> np.ndarray:
@@ -97,17 +97,11 @@ def _realize(d: int, tag: tuple) -> np.ndarray:
     return _diag(d, payload)
 
 
-def _grid_labels(d: int) -> tuple[tuple[int, int], ...]:
-    # flat index i -> (n, b) by blocks of d-1
-    return tuple((i % (d - 1) + 1, i // (d - 1) + 1) for i in range(d * d - 1))
-
-
 def gell_mann_basis(d: int) -> OperatorBasis:
     """The generalized Gell-Mann basis in enumeration order.
 
     Flat order: symmetric pairs in lexicographic (j, k), antisymmetric
-    pairs in lexicographic (j, k), diagonals by l.  Flat index i is
-    labelled by the block rule b = i div (d-1) + 1, n = i mod (d-1) + 1.
+    pairs in lexicographic (j, k), diagonals by l.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -120,7 +114,7 @@ def gell_mann_basis(d: int) -> OperatorBasis:
             elements.append(_asym(d, j, k))
     for l in range(1, d):
         elements.append(_diag(d, l))
-    return OperatorBasis(d=d, elements=tuple(elements), labels=_grid_labels(d))
+    return OperatorBasis(d=d, elements=elements)
 
 
 def _zigzag(start: int, n: int) -> list[int]:
@@ -177,7 +171,7 @@ def grouped_gell_mann_basis(d: int) -> OperatorBasis:
     for family in measurement_layout(d):
         for tag in family:
             elements.append(_realize(d, tag))
-    return OperatorBasis(d=d, elements=tuple(elements), labels=_grid_labels(d))
+    return OperatorBasis(d=d, elements=elements)
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:

@@ -58,7 +58,9 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise ValueError("matrix payload must carry 'dim' and 'entries'")
     dim = _int(obj["dim"], "matrix dim")
     entries = _list(obj["entries"], "matrix entries")
-    if dim < 1 or len(entries) != dim * dim:
+    if dim < 1:
+        raise ValueError(f"matrix dim must be at least 1, got {dim}")
+    if len(entries) != dim * dim:
         raise ValueError(f"matrix payload of dim {dim} needs {dim * dim} entries, got {len(entries)}")
     try:
         # complex(True, False) is 1+0j, so a pair holding a boolean is skipped
@@ -90,8 +92,12 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
             raise ValueError("operator basis items must be objects with 'n', 'b' and 'matrix'")
         elements.append(matrix_from_obj(item["matrix"]))
         labels.append((_int(item["n"], "label n"), _int(item["b"], "label b")))
-    d = elements[0].shape[0]
-    return OperatorBasis(d=d, elements=tuple(elements), labels=tuple(labels))
+    basis = OperatorBasis(d=elements[0].shape[0], elements=elements)
+    for i, (got, want) in enumerate(zip(labels, basis.labels)):
+        if got != want:
+            raise ValueError(f"operator basis item {i} is labelled (n, b) = {got}, but the block "
+                             f"rule b = i div (d-1) + 1, n = i mod (d-1) + 1 gives {want}")
+    return basis
 
 
 def basis_set_to_obj(bs: BasisSet) -> dict:
@@ -101,7 +107,7 @@ def basis_set_to_obj(bs: BasisSet) -> dict:
 def basis_set_from_obj(obj) -> BasisSet:
     if not isinstance(obj, dict) or "bases" not in obj:
         raise ValueError("basis set payload must carry 'bases'")
-    bases = tuple(matrix_from_obj(b) for b in _list(obj["bases"], "bases"))
+    bases = [matrix_from_obj(b) for b in _list(obj["bases"], "bases")]
     d = _int(obj["d"], "d") if "d" in obj else (bases[0].shape[0] if bases else 0)
     return BasisSet(d=d, bases=bases)
 
@@ -145,8 +151,6 @@ def state_from_obj(obj) -> BipartiteState:
         raise ValueError("state payload must carry 'rho'")
     rho = matrix_from_obj(obj["rho"])
     d = _int(obj["d"], "d") if "d" in obj else round(np.sqrt(rho.shape[0]))
-    if rho.shape[0] != d * d:
-        raise ValueError(f"rho of dim {rho.shape[0]} does not match d={d}")
     return BipartiteState(d=d, rho=rho)
 
 

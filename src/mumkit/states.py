@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_hermitian
+from .linalg import as_stack, require_hermitian
 from .operator_basis import weyl_operators
 from .reporting import VerificationReport, min_eigenvalues, worst
 from .rng import Xoshiro256
@@ -23,23 +23,28 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density matrix on a d (x) d system."""
+    """Density matrix on a d (x) d system, one complex (d^2, d^2) array."""
 
     d: int
     rho: np.ndarray
 
+    def __post_init__(self):
+        d = self.d
+        object.__setattr__(self, "rho", as_stack(
+            self.rho, (d * d, d * d) if d >= 1 else None,
+            f"a state for d={d} is a (d^2, d^2) density matrix with d >= 1"))
+
 
 def _make_state(d: int, rho: np.ndarray) -> BipartiteState:
-    rho = require_hermitian(rho, what="density matrix")
-    if rho.shape != (d * d, d * d):
-        raise ValueError(f"density matrix for d={d} must be {d * d} x {d * d}, got {rho.shape}")
+    state = BipartiteState(d=d, rho=rho)
+    rho = require_hermitian(state.rho, what="density matrix")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
     min_ev = float(np.linalg.eigvalsh(rho).min())
     if min_ev < -PSD_TOL:
         raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
-    return BipartiteState(d=d, rho=rho)
+    return state
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -167,12 +172,7 @@ def partial_transpose(state: BipartiteState) -> np.ndarray:
 @np.errstate(invalid="ignore", over="ignore")
 def verify_state(state: BipartiteState, tol: float = 1e-9) -> VerificationReport:
     """Check Hermiticity, unit trace and positivity of a loaded state."""
-    rho = np.asarray(state.rho)
-    if rho.shape != (state.d ** 2, state.d ** 2):
-        raise ValueError(
-            f"density matrix for d={state.d} must be {state.d ** 2} x {state.d ** 2}, "
-            f"got {rho.shape}"
-        )
+    rho = state.rho
     sym = 0.5 * (rho + rho.conj().T)
     return VerificationReport(
         kind="bipartite-state",

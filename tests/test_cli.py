@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa
-from mumkit import cli
+from mumkit import cli, gell_mann_basis, serialize
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
@@ -377,6 +377,17 @@ MALFORMED_PAYLOADS = {
                        "elements": [[{"dim": 3, "entries": [[1 / 3, 0.0]] * 9}] * 2] * 3},
     "mums-ragged": {"d": 2, "kappa": 0.5, "t": None,
                     "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * n for n in (2, 2, 1)]},
+    # numpy's "operands could not be broadcast" message, and "passed": true for d = 1
+    "mub-d2-of-3x3": {"d": 2, "bases": [{"dim": 3, "entries": [[1.0, 0.0]] * 9}] * 2},
+    "mub-d1": {"d": 1, "bases": [{"dim": 1, "entries": [[1.0, 0.0]]}] * 2},
+    # a state whose d squares to its dim, but is negative, passed verify
+    "state-d-negative": {"d": -2, "rho": {"dim": 4, "entries": [[0.25, 0.0]] * 16}},
+    # a gen-basis --d 3 file with the labels of items 0 and 1 swapped passed verify
+    "basis-labels-swapped": [
+        {"n": n, "b": b, "matrix": serialize.matrix_to_obj(el)}
+        for (n, b), el in zip([(2, 1), (1, 1)] + list(gell_mann_basis(3).labels[2:]),
+                              gell_mann_basis(3).elements)
+    ],
 }
 
 
@@ -389,6 +400,20 @@ def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, message", [
+    ("mub-d2-of-3x3", "error: a basis set for d=2 is an (m, d, d) array of matrices with d >= 2, "
+                      "got shape (2, 3, 3)\n"),
+    ("mub-d1", "error: a basis set for d=1 is an (m, d, d) array of matrices with d >= 2, "
+               "got shape (2, 1, 1)\n"),
+    ("basis-labels-swapped", "error: operator basis item 0 is labelled (n, b) = (2, 1), but the "
+                             "block rule b = i div (d-1) + 1, n = i mod (d-1) + 1 gives (1, 1)\n"),
+])
+def test_verify_malformed_payload_names_the_problem(tmp_path, capsys, name, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(MALFORMED_PAYLOADS[name]))
+    assert run(capsys, ["verify", str(bad)]) == (2, "", message)
 
 
 def _subtree_paths(obj, prefix=()):

@@ -5,6 +5,7 @@ import pytest
 
 from mumkit import (
     BasisSet,
+    OperatorBasis,
     Xoshiro256,
     bell_choice,
     bell_detection_threshold,
@@ -321,6 +322,23 @@ def test_correlation_identity_random_density_d4(seed):
     ms = optimal_mums(4)
     lhs, rhs = j_correlation_identity(random_density(4, seed), ms, ms.source_basis)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_correlation_identity_refuses_a_nan_basis():
+    # a NaN entry used to pass the element comparison and give J = nan
+    ms = optimal_mums(3)
+    elements = ms.source_basis.elements.copy()
+    elements[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="not built from"):
+        j_correlation_identity(isotropic(3, 0.5), ms, OperatorBasis(d=3, elements=elements))
+
+
+def test_correlation_identity_refuses_a_reordered_basis():
+    # the same elements in another order are a different labelling
+    ms = optimal_mums(3)
+    elements = ms.source_basis.elements[::-1]
+    with pytest.raises(ValueError, match="not built from"):
+        j_correlation_identity(isotropic(3, 0.5), ms, OperatorBasis(d=3, elements=elements))
 
 
 def test_correlation_identity_needs_provenance():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,3 +117,25 @@ def test_tensor_product_overlap_scaling():
     assert bs.d == 10
     assert bs.m == 3
     assert verify_mub(bs, tol=1e-10).passed
+
+
+def test_bases_are_one_array():
+    bs = mub_prime(3)
+    assert isinstance(bs.bases, np.ndarray)
+    assert bs.bases.shape == (4, 3, 3) and bs.bases.dtype == complex
+    nested = BasisSet(d=3, bases=[list(map(list, b)) for b in bs.bases])
+    assert np.array_equal(nested.bases, bs.bases)
+    empty = BasisSet(d=3, bases=[])
+    assert empty.m == 0 and empty.bases.shape == (0, 3, 3)
+    assert not verify_mub(empty).passed
+
+
+@pytest.mark.parametrize("d, bases, got", [
+    (2, [np.eye(3), np.eye(3)], "shape (2, 3, 3)"),
+    (1, [np.eye(1), np.eye(1)], "shape (2, 1, 1)"),
+    (0, [], "shape (0,)"),
+    (3, [np.eye(3), np.eye(2)], "a ragged grid"),
+])
+def test_mis_shaped_basis_set_rejected(d, bases, got):
+    with pytest.raises(ValueError, match=r"with d >= 2, got " + re.escape(got)):
+        BasisSet(d=d, bases=bases)

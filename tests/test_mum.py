@@ -184,6 +184,38 @@ def test_stacked_transforms_match_per_element_forms(d):
                 p = ms.elements[b][n]
                 assert conj.elements[b][n].tobytes() == p.conj().tobytes()
                 assert rot.elements[b][n].tobytes() == (u @ p @ u.conj().T).tobytes()
+        # the per-element source bases the two transforms rebuilt
+        uh = u.conj().T
+        assert conj.source_basis.elements.tobytes() == np.array(
+            [el.conj() for el in basis.elements]).tobytes()
+        assert rot.source_basis.elements.tobytes() == np.array(
+            [u @ el @ uh for el in basis.elements]).tobytes()
+
+
+def _measurement_directions_by_family(basis):
+    # the per-family generator that one reshape of the basis replaced, with
+    # the family lookup by labels it used, kept as its oracle
+    d = basis.d
+    for b in range(1, d + 2):
+        members = sorted((n, el) for (n, bb), el in zip(basis.labels, basis.elements) if bb == b)
+        fam = [el for _, el in members]
+        assert len(fam) == d - 1
+        fb = sum(fam)
+        f = np.empty((d, d, d), dtype=complex)
+        f[:-1] = fb - (d + np.sqrt(d)) * np.asarray(fam)
+        f[-1] = (1.0 + np.sqrt(d)) * fb
+        yield f
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", list(range(2, 9)) + [16])
+def test_measurement_directions_match_per_family_generator(make, d):
+    from mumkit.mum import _measurement_directions
+
+    basis = make(d)
+    got = _measurement_directions(basis)
+    assert got.shape == (d + 1, d, d, d)
+    assert got.tobytes() == np.array(list(_measurement_directions_by_family(basis))).tobytes()
 
 
 def test_conjugate_on_real_elements_is_identity():
@@ -258,7 +290,7 @@ def _bisection_max_valid_t(basis, resolution=1e-12):
 
     def feasible(t):
         for b in range(1, d + 2):
-            fam = basis.family(b)
+            fam = basis.elements[(b - 1) * (d - 1):b * (d - 1)]
             fb = sum(fam)
             for n in range(1, d + 1):
                 fn = fb - (d + np.sqrt(d)) * fam[n - 1] if n < d else (1.0 + np.sqrt(d)) * fb

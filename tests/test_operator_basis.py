@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,17 +58,59 @@ def test_grid_labels_d3_ranges():
 
 def test_grid_round_trip_d5():
     basis = gell_mann_basis(5)
+    families = basis.families
     for n in range(1, 5):
         for b in range(1, 7):
             flat = basis.labels.index((n, b))
-            assert basis.labels[flat] == (n, b)
-            assert np.array_equal(basis.element(n, b), basis.elements[flat])
+            assert flat == (b - 1) * 4 + n - 1
+            assert np.array_equal(families[b - 1][n - 1], basis.elements[flat])
 
 
 def test_wrong_element_count_rejected():
     basis = gell_mann_basis(3)
-    with pytest.raises(ValueError, match="needs 8 elements"):
-        OperatorBasis(d=3, elements=basis.elements[:-1], labels=basis.labels[:-1])
+    with pytest.raises(ValueError, match=r"d=3 is a \(d\^2-1, d, d\) array.*got shape \(7, 3, 3\)"):
+        OperatorBasis(d=3, elements=basis.elements[:-1])
+
+
+@pytest.mark.parametrize("d, elements, got", [
+    (3, np.zeros((8, 2, 2)), "shape (8, 2, 2)"),
+    (1, np.zeros((0, 1, 1)), "shape (0, 1, 1)"),
+    (0, np.zeros((0, 0, 0)), "shape (0, 0, 0)"),
+    (2, [np.eye(2), np.eye(2), np.eye(3)], "a ragged grid"),
+])
+def test_mis_shaped_basis_rejected(d, elements, got):
+    with pytest.raises(ValueError, match="with d >= 2, got " + re.escape(got)):
+        OperatorBasis(d=d, elements=elements)
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+def test_elements_are_one_array(make):
+    basis = make(4)
+    assert isinstance(basis.elements, np.ndarray)
+    assert basis.elements.shape == (15, 4, 4) and basis.elements.dtype == complex
+    nested = OperatorBasis(d=4, elements=[list(map(list, el)) for el in basis.elements])
+    assert np.array_equal(nested.elements, basis.elements)
+    with pytest.raises(AttributeError):
+        basis.labels = ()
+
+
+def _family_by_labels(basis, b):
+    # OperatorBasis.family, which the block slice replaced, kept as its oracle
+    members = sorted(
+        (n, el) for (n, bb), el in zip(basis.labels, basis.elements) if bb == b
+    )
+    return [el for _, el in members]
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", list(range(2, 9)) + [16])
+def test_block_slice_matches_family_by_labels(make, d):
+    basis = make(d)
+    assert basis.families.shape == (d + 1, d - 1, d, d)
+    for b in range(1, d + 2):
+        block = basis.elements[(b - 1) * (d - 1):b * (d - 1)]
+        assert np.array(_family_by_labels(basis, b)).tobytes() == block.tobytes(), b
+        assert basis.families[b - 1].tobytes() == block.tobytes(), b
 
 
 def test_assign_grid_matches_block_rule():
@@ -146,11 +190,9 @@ def test_completeness_sum_of_squares(make, d):
 
 def test_verify_fails_on_doubled_element():
     basis = gell_mann_basis(3)
-    bad = OperatorBasis(
-        d=3,
-        elements=(2.0 * basis.elements[0],) + basis.elements[1:],
-        labels=basis.labels,
-    )
+    elements = basis.elements.copy()
+    elements[0] = 2.0 * basis.elements[0]
+    bad = OperatorBasis(d=3, elements=elements)
     report = verify_orthonormal_basis(bad, tol=1e-10)
     assert not report.passed
     assert report.defects["orthonormality"] > 1.0
@@ -158,11 +200,9 @@ def test_verify_fails_on_doubled_element():
 
 def test_verify_fails_on_identity_element():
     basis = gell_mann_basis(3)
-    bad = OperatorBasis(
-        d=3,
-        elements=(np.eye(3, dtype=complex) / np.sqrt(3),) + basis.elements[1:],
-        labels=basis.labels,
-    )
+    elements = basis.elements.copy()
+    elements[0] = np.eye(3, dtype=complex) / np.sqrt(3)
+    bad = OperatorBasis(d=3, elements=elements)
     report = verify_orthonormal_basis(bad, tol=1e-10)
     assert not report.passed
     assert report.defects["trace"] > 0.5

@@ -129,9 +129,10 @@ def test_verify_mums_matches_loops(name):
 def test_verify_basis_matches_loops(make, d):
     # d = 17 spreads the basis over several chunks, the last one partial
     basis = make(d)
-    els = list(basis.elements)
-    for basis_case in (basis, type(basis)(d=d, elements=tuple(els[:-1] + [els[0]]),
-                                          labels=basis.labels)):
+    # the last element replaced by a copy of the first
+    els = basis.elements.copy()
+    els[-1] = els[0]
+    for basis_case in (basis, type(basis)(d=d, elements=els)):
         report = verify_orthonormal_basis(basis_case)
         expected = _loop_verify_basis(basis_case)
         for key, value in expected.items():
@@ -142,10 +143,12 @@ def test_verify_basis_matches_loops(make, d):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_verify_mub_matches_loops(d):
     bs = mub_prime(d)
-    bent = bs.bases[1].copy()
-    bent[0, 0] += 0.05
-    for case in (bs, type(bs)(d=d, bases=(bs.bases[0], bent) + bs.bases[2:])):
+    # the second basis with one entry bent
+    bent = bs.bases.copy()
+    bent[1, 0, 0] += 0.05
+    for case in (bs, type(bs)(d=d, bases=bent)):
         report = verify_mub(case)
+        assert report.passed == (case is bs)
         for key, value in _loop_verify_mub(case).items():
             assert report.defects[key] == pytest.approx(value, abs=1e-14), key
 
@@ -170,7 +173,7 @@ def test_positivity_error_names_worst_offender(make, d):
     eye = np.eye(d, dtype=complex)
     rows = []
     for b in range(1, d + 2):
-        fam = basis.family(b)
+        fam = basis.elements[(b - 1) * (d - 1):b * (d - 1)]
         fb = sum(fam)
         rows.append([eye / d + t * (fb - (d + np.sqrt(d)) * fam[n] if n < d - 1
                                     else (1.0 + np.sqrt(d)) * fb) for n in range(d)])

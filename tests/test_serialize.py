@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from mumkit import Xoshiro256, gell_mann_basis, isotropic, mub_prime, mum_criterion, optimal_mums
+from mumkit import (
+    Xoshiro256,
+    gell_mann_basis,
+    grouped_gell_mann_basis,
+    isotropic,
+    mub_prime,
+    mum_criterion,
+    optimal_mums,
+)
 from mumkit import conjugate_mums
 from mumkit import serialize as ser
 
@@ -108,6 +116,22 @@ def test_wrong_typed_containers_raise_value_error():
         with pytest.raises(ValueError, match="probability grid"):
             ser.grid_from_obj(grid)
     assert ser.grid_from_obj([[1, 0], [0, 0]]).dtype == float
+
+
+def test_matrix_dim_below_one_has_its_own_message():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match=f"matrix dim must be at least 1, got {dim}"):
+            ser.matrix_from_obj({"dim": dim, "entries": []})
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+def test_operator_basis_labels_must_follow_the_block_rule(make):
+    items = ser.operator_basis_to_obj(make(3))
+    assert ser.operator_basis_from_obj(items).labels == make(3).labels
+    items[2]["n"], items[2]["b"], items[5]["n"], items[5]["b"] = (
+        items[5]["n"], items[5]["b"], items[2]["n"], items[2]["b"])
+    with pytest.raises(ValueError, match=r"item 2 is labelled \(n, b\) = \(2, 3\).*gives \(1, 2\)"):
+        ser.operator_basis_from_obj(items)
 
 
 def test_operator_basis_round_trip():

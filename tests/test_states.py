@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,17 @@ def test_verify_state_flags_bad_trace():
     report = verify_state(BipartiteState(d=2, rho=np.eye(4, dtype=complex)), tol=1e-9)
     assert not report.passed
     assert report.defects["trace"] == pytest.approx(3.0)
+
+
+def test_rho_is_one_validated_array():
+    from mumkit import BipartiteState
+
+    st = BipartiteState(d=2, rho=np.eye(4).tolist())
+    assert isinstance(st.rho, np.ndarray)
+    assert st.rho.shape == (4, 4) and st.rho.dtype == complex
+    for d, rho, got in ((2, np.eye(9), "shape (9, 9)"), (3, np.eye(9)[:4], "shape (4, 9)"),
+                        (-2, np.eye(4), "shape (4, 4)"), (2, [[1.0], [0.0, 1.0]], "a ragged grid")):
+        with pytest.raises(ValueError, match=r"d >= 1, got " + re.escape(got)):
+            BipartiteState(d=d, rho=rho)
+    with pytest.raises(ValueError, match=r"d=2 is a \(d\^2, d\^2\)"):
+        BipartiteState(d=2, rho=isotropic(3, 0.5).rho)
