@@ -268,5 +268,3 @@ def test_rho_is_one_validated_array():
                         (-2, np.eye(4), "shape (4, 4)"), (2, [[1.0], [0.0, 1.0]], "a ragged grid")):
         with pytest.raises(ValueError, match=r"d >= 1, got " + re.escape(got)):
             BipartiteState(d=d, rho=rho)
-    with pytest.raises(ValueError, match=r"d=2 is a \(d\^2, d\^2\)"):
-        BipartiteState(d=2, rho=isotropic(3, 0.5).rho)
