@@ -80,13 +80,41 @@ FROZEN_ARTIFACTS = {
         "44430aabd43edc670dd312e5ecdc172d9a1814cda06b2d4ac6222047792271ed",
     ("gen-mums", "--layout", "plain", "--max-t", "--d", "5"):
         "c5df19cafc6a2136046da8873b7ba475e7a2add00b4ae3362e8695bc39eda4ce",
+    # frozen before matrix payloads were written from a table of distinct
+    # values and the Bell-diagonal sweep was built in blocks of points
+    ("gen-mums", "--d", "10"):
+        "6c3d63804478a8c305d9e4ae75f3250460e7e8fa117fc603b65afac19d0598e5",
+    ("gen-mums", "--kappa", "0.22", "--d", "5"):
+        "b16584e74875be4082e78fc86516cb5d968ca2b88e543a665bd10b8f0fde1c20",
+    ("gen-mums", "--t", "0.05", "--d", "4"):
+        "4c452eed5c5568fc4e9b80552addf20aa6d5378bc62521ba79f1aa6d56d84a09",
+    ("gen-basis", "--layout", "grouped", "--d", "16"):
+        "afafac825758b9e74c0ffdcdc2ea6159196afe12144a7d843b6109024648cca1",
+    ("gen-mub", "--d", "11"):
+        "dbef2de226c3736b0dab15a8d2853f8eb055441bbfc3207f8ee5120a4ef36bbd",
+    # GRID stands for a file holding BELL_GRID_D3
+    ("gen-state", "--family", "bell-diagonal", "--d", "3", "--p", "GRID"):
+        "f8f92503cece0582696442ed42deae4b36285684b226aa2b540742992bf1cd39",
+    ("gen-state", "--family", "max-entangled", "--d", "4"):
+        "a16f50ad847cd586fe223dbdca5c4c626a171e296a07281f721fa63f2017b95b",
+    ("gen-state", "--family", "random-separable", "--d", "3", "--k", "3", "--seed", "11"):
+        "dbf3c59aa1e14899da949178bdad3d72b3d74a9662c356681c4947721288b914",
+    ("sweep", "--family", "bell-diagonal", "--d", "3", "--kappa", "0.5",
+     "--param", "0.12:1:0.01"):
+        "10e59b057dfc2d4d15069ed934aba49148dd5503e8d086a187c9d0f319ea5845",
+    ("sweep", "--family", "isotropic", "--d", "4", "--pairing", "self", "--param", "0:1:0.02"):
+        "b1ecc7ccea29e588944c896d9c7e95e8e447e5fae23b60501f49927523b7fe25",
 }
+BELL_GRID_D3 = [[0.4, 0.2, 0.1], [0.1, 0.05, 0.05], [0.05, 0.025, 0.025]]
 
 
 @pytest.mark.parametrize("argv", sorted(FROZEN_ARTIFACTS), ids=" ".join)
 def test_generated_artifact_bytes_are_frozen(tmp_path, capsys, argv):
     out = tmp_path / "artifact.json"
-    code, _, err = run(capsys, list(argv) + ["-o", str(out)])
+    grid = tmp_path / "p.json"
+    grid.write_text(json.dumps(BELL_GRID_D3))
+    argv_here = [str(grid) if arg == "GRID" else arg for arg in argv]
+    code, _, err = run(capsys, argv_here + ["-o", str(out)])
     assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_ARTIFACTS[argv]
 
@@ -148,7 +176,7 @@ def test_detect_report_bytes_are_frozen(capsys, argv):
 
 def test_gen_state_bell_diagonal_round_trip(tmp_path, capsys):
     p_file = tmp_path / "p.json"
-    p_file.write_text(json.dumps([[0.4, 0.2, 0.1], [0.1, 0.05, 0.05], [0.05, 0.025, 0.025]]))
+    p_file.write_text(json.dumps(BELL_GRID_D3))
     out = tmp_path / "bell.json"
     code, _, err = run(capsys, ["gen-state", "--family", "bell-diagonal", "--d", "3",
                                 "--p", str(p_file), "-o", str(out)])
