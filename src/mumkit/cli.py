@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import os
 import stat
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,7 @@ from .operator_basis import gell_mann_basis, grouped_gell_mann_basis, verify_ort
 from .states import (
     BipartiteState,
     bell_diagonal,
+    bell_diagonal_ppt,
     isotropic,
     max_entangled,
     ppt_check,
@@ -52,6 +55,9 @@ from .states import (
 )
 
 MAX_GRID_POINTS = 10 ** 6
+# A Bell-diagonal sweep builds its states in blocks of about this many
+# complex entries (512 KiB), 52 points at d = 5.
+_SWEEP_BLOCK_ENTRIES = 2 ** 15
 
 
 class CliError(Exception):
@@ -149,14 +155,19 @@ def emit_figure_data(spec: SweepSpec) -> str:
             raise CliError(
                 f"bell-diagonal parameter must lie in [1/d^2, 1] = [{1.0 / d ** 2!r}, 1]"
             )
-        for c in spec.grid():
-            p = np.full((d, d), (1.0 - c) / (d * d - 1))
-            p[0, 0] = c
-            p /= p.sum()
-            state = bell_diagonal(d, p)
-            value = c * kappa * (d + 1)
-            ppt = ppt_check(state).min_eigenvalue
-            rows.append(_row(spec.family, d, kappa, c, value, bound, spec.tol, ppt))
+        grid = spec.grid()
+        block = max(1, _SWEEP_BLOCK_ENTRIES // d ** 4)
+        for start in range(0, len(grid), block):
+            cs = grid[start:start + block]
+            c = np.array(cs)
+            # each grid is c at (0, 0) and an equal share of 1 - c elsewhere, normalized
+            p = np.empty((len(cs), d, d))
+            p[:] = ((1.0 - c) / (d * d - 1))[:, None, None]
+            p[:, 0, 0] = c
+            p /= p.reshape(len(cs), d * d).sum(axis=1)[:, None, None]
+            for c, ppt in zip(cs, bell_diagonal_ppt(d, p).tolist()):
+                value = c * kappa * (d + 1)
+                rows.append(_row(spec.family, d, kappa, c, value, bound, spec.tol, ppt))
     return "\n".join(rows) + "\n"
 
 
@@ -303,8 +314,13 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
     return random_separable(d, args.k, args.state_seed), None
 
 
-def _write(text: str, output: str | None) -> None:
-    """Write text to stdout, or overwrite the file ``output`` in place.
+def _write(pieces: Iterable[str], output: str | None) -> None:
+    """Write text, given in pieces, to stdout, or overwrite the file ``output`` in place.
+
+    The first piece is taken before anything is opened, so an encoder
+    that checks its value first raises with no file created or changed.
+    Each piece is encoded and written as it comes; no whole-document
+    string or byte copy is built.
 
     The file is opened without O_TRUNC and cut to the written length
     afterwards.  On ext4 (default ``auto_da_alloc``) truncating a file
@@ -314,15 +330,22 @@ def _write(text: str, output: str | None) -> None:
     a device such as /dev/null, which cannot be truncated, is only
     written.
     """
+    pieces = iter(pieces)
+    first = next(pieces, "")
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
-    data = memoryview(text.encode("utf-8"))
     fd = os.open(output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         written = 0
-        while written < len(data):
-            written += os.write(fd, data[written:])
+        for piece in itertools.chain((first,), pieces):
+            data = memoryview(piece.encode("utf-8"))
+            done = 0
+            while done < len(data):
+                done += os.write(fd, data[done:])
+            written += done
         if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, written)
     finally:
@@ -331,25 +354,25 @@ def _write(text: str, output: str | None) -> None:
 
 def _cmd_gen_basis(args) -> int:
     basis = grouped_gell_mann_basis(args.d) if args.layout == "grouped" else gell_mann_basis(args.d)
-    _write(serialize.dumps(serialize.operator_basis_to_obj(basis)), args.output)
+    _write(serialize.iterencode(basis), args.output)
     return 0
 
 
 def _cmd_gen_mub(args) -> int:
-    _write(serialize.dumps(serialize.basis_set_to_obj(mub_prime(args.d))), args.output)
+    _write(serialize.iterencode(mub_prime(args.d)), args.output)
     return 0
 
 
 def _cmd_gen_mums(args) -> int:
     ms = _mums_for(args.d, kappa=args.kappa, t=args.t, use_max_t=args.max_t,
                    layout=args.layout)
-    _write(serialize.dumps(serialize.mums_to_obj(ms)), args.output)
+    _write(serialize.iterencode(ms), args.output)
     return 0
 
 
 def _cmd_gen_state(args) -> int:
     state, _ = _state_from_args(args)
-    _write(serialize.dumps(serialize.state_to_obj(state)), args.output)
+    _write(serialize.iterencode(state), args.output)
     return 0
 
 
@@ -386,7 +409,7 @@ def _cmd_detect(args) -> int:
         pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
         qset = _pair_for(pset, args.pairing, p_grid)
         report = mum_criterion(state, pset, qset, tol=args.tol)
-    _write(serialize.dumps(serialize.report_to_obj(report)), args.output)
+    _write(serialize.iterencode(serialize.report_to_obj(report)), args.output)
     return 0
 
 
@@ -398,7 +421,7 @@ def _cmd_sweep(args) -> int:
     start, stop, step = (float(x) for x in parts)
     spec = SweepSpec(family=args.family, d=args.d, start=start, stop=stop, step=step,
                      kappa=kappa, pairing=args.pairing, tol=args.tol)
-    _write(emit_figure_data(spec), args.output)
+    _write((emit_figure_data(spec),), args.output)
     return 0
 
 
@@ -419,7 +442,7 @@ def _cmd_simulate(args) -> int:
         "seed": int(est.seed),
         "counts": [[[int(c) for c in row] for row in grid] for grid in est.counts],
     }
-    _write(serialize.dumps(obj), args.output)
+    _write(serialize.iterencode(obj), args.output)
     return 0
 
 
@@ -427,7 +450,7 @@ def _cmd_oracle_ppt(args) -> int:
     state, _ = _state_from_args(args)
     result = ppt_check(state)
     obj = {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
-    _write(serialize.dumps(obj), args.output)
+    _write(serialize.iterencode(obj), args.output)
     return 0
 
 
@@ -471,3 +494,7 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -4,12 +4,18 @@ Matrix payloads are ``{"dim": n, "entries": [[re, im], ...]}`` row-major;
 values are written as Python's shortest round-trip representation, so
 loading reproduces every double exactly.  The loaders raise ValueError
 for a payload of the wrong shape or JSON type.
+
+:func:`dumps` and :func:`iterencode` take the value objects (operator
+basis, basis set, measurement set, state) directly and write their
+matrices from a table of distinct values, block by block; the
+``*_to_obj`` functions give the same payload as plain JSON objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -75,6 +81,13 @@ def matrix_from_obj(obj) -> np.ndarray:
     return np.array(flat).reshape(dim, dim)
 
 
+def _field(obj: dict, key: str, what: str):
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{what} is missing the key {key!r}") from None
+
+
 def operator_basis_to_obj(basis: OperatorBasis) -> list:
     return [
         {"n": int(n), "b": int(b), "matrix": matrix_to_obj(el)}
@@ -87,11 +100,13 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
         raise ValueError("operator basis payload must be a non-empty list")
     elements = []
     labels = []
-    for item in obj:
+    for i, item in enumerate(obj):
         if not isinstance(item, dict):
             raise ValueError("operator basis items must be objects with 'n', 'b' and 'matrix'")
-        elements.append(matrix_from_obj(item["matrix"]))
-        labels.append((_int(item["n"], "label n"), _int(item["b"], "label b")))
+        what = f"operator basis item {i}"
+        elements.append(matrix_from_obj(_field(item, "matrix", what)))
+        labels.append((_int(_field(item, "n", what), "label n"),
+                       _int(_field(item, "b", what), "label b")))
     basis = OperatorBasis(d=elements[0].shape[0], elements=elements)
     for i, (got, want) in enumerate(zip(labels, basis.labels)):
         if got != want:
@@ -135,9 +150,9 @@ def mums_from_obj(obj) -> MumSet:
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
     return MumSet(
-        d=_int(obj["d"], "d"),
+        d=_int(_field(obj, "d", "measurement set payload"), "d"),
         elements=elements,
-        kappa=_float(obj["kappa"], "kappa"),
+        kappa=_float(_field(obj, "kappa", "measurement set payload"), "kappa"),
         t=t,
     )
 
@@ -194,9 +209,117 @@ def verification_report_to_obj(report: VerificationReport) -> dict:
     }
 
 
-def dumps(obj) -> str:
-    """Strict JSON text: a NaN or infinite float raises ValueError, never a bare token."""
-    return json.dumps(obj, allow_nan=False) + "\n"
+# Matrix entries are encoded in blocks of at most this many [re, im]
+# pairs, so the value table and its temporaries stay small at any d.
+_BLOCK_PAIRS = 8192
+
+
+def _pair_texts(pairs: np.ndarray) -> list[str]:
+    """The ``[re, im]`` text of each row of an (n, 2) float array, as json.dumps writes it.
+
+    Each distinct double is keyed by its bits, so 0.0 and -0.0 stay
+    apart, and formatted once by ``repr``; each distinct pair is built
+    once from those.
+    """
+    keys, codes = np.unique(pairs.view(np.uint64).ravel(), return_inverse=True)
+    texts = [repr(x) for x in keys.view(np.float64).tolist()]
+    m = len(keys)
+    pair_keys, which = np.unique(codes[0::2] * m + codes[1::2], return_inverse=True)
+    table = np.array([f"[{texts[k // m]}, {texts[k % m]}]" for k in pair_keys.tolist()],
+                     dtype=object)
+    return table[which].tolist()
+
+
+def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
+    """JSON text of the entries of an (m, n, n) stack, with ``joints[j]`` before matrix j.
+
+    ``joints[m]`` follows the last matrix; each matrix's entries are its
+    ``[re, im]`` pairs in row-major order, separated by ", ".  A NaN or
+    infinite entry raises json's ValueError before the first piece.
+    """
+    per = stack.shape[1] * stack.shape[2]
+    pairs = np.ascontiguousarray(stack, dtype=complex).view(np.float64).reshape(-1, 2)
+    finite = np.isfinite(pairs).ravel()
+    if not finite.all():
+        json.dumps(float(pairs.ravel()[np.argmin(finite)]), allow_nan=False)
+    total = len(pairs)
+    if total == 0:
+        yield joints[0]
+    for start in range(0, total, _BLOCK_PAIRS):
+        stop = min(start + _BLOCK_PAIRS, total)
+        texts = _pair_texts(pairs[start:stop])
+        pieces = []
+        pos = start
+        while pos < stop:
+            j, r = divmod(pos, per)
+            end = min(stop, (j + 1) * per)
+            pieces.append(joints[j] if r == 0 else ", ")
+            pieces.append(", ".join(texts[pos - start:end - start]))
+            pos = end
+        if stop == total:
+            pieces.append(joints[-1])
+        yield "".join(pieces)
+
+
+def _joints(head: str, opens: list[str], close: str, seps: list[str], tail: str) -> list[str]:
+    """Text around m matrices: head, opens[j] before each, seps between, close after each, tail."""
+    if not opens:
+        return [head + tail]
+    return ([head + opens[0]]
+            + [close + sep + op for sep, op in zip(seps, opens[1:])]
+            + [close + tail])
+
+
+def _matrix_open(dim: int) -> str:
+    return f'{{"dim": {dim}, "entries": ['
+
+
+def _matrix_payload(value) -> tuple[np.ndarray, list[str]] | None:
+    """The matrix stack of a value object and the text around its matrices, else None."""
+    if isinstance(value, OperatorBasis):
+        d = value.d
+        opens = [f'{{"n": {n}, "b": {b}, "matrix": {_matrix_open(d)}' for n, b in value.labels]
+        return value.elements, _joints("[", opens, "]}}", [", "] * len(opens), "]\n")
+    if isinstance(value, BasisSet):
+        m, d = value.m, int(value.d)
+        return value.bases, _joints(f'{{"d": {d}, "bases": [', [_matrix_open(d)] * m, "]}",
+                                    [", "] * m, "]}\n")
+    if isinstance(value, MumSet):
+        d = int(value.d)
+        head = json.dumps({"d": d, "kappa": float(value.kappa),
+                           "t": None if value.t is None else float(value.t)}, allow_nan=False)
+        # d + 1 measurements of d elements each
+        seps = [", " if (j + 1) % d else "], [" for j in range((d + 1) * d - 1)]
+        return (value.elements.reshape(-1, d, d),
+                _joints(head[:-1] + ', "elements": [[', [_matrix_open(d)] * ((d + 1) * d), "]}",
+                        seps, "]]}\n"))
+    if isinstance(value, BipartiteState):
+        return value.rho[None], _joints(f'{{"d": {int(value.d)}, "rho": ',
+                                        [_matrix_open(len(value.rho))], "]}", [], "}\n")
+    return None
+
+
+def iterencode(value) -> Iterator[str]:
+    """The text of :func:`dumps` in pieces of bounded size, for writing as they come.
+
+    Every check runs before the first piece: a NaN or infinite float
+    raises ValueError, never a bare token.
+    """
+    payload = _matrix_payload(value)
+    if payload is None:
+        yield json.dumps(value, allow_nan=False) + "\n"
+    else:
+        yield from _stack_text(*payload)
+
+
+def dumps(value) -> str:
+    """Strict JSON text of a value object or a plain JSON object, newline-terminated.
+
+    For an operator basis, basis set, measurement set or state this is
+    ``json.dumps`` of its ``*_to_obj`` payload; a NaN or infinite float
+    raises ValueError, never a bare token.
+    """
+    return "".join(iterencode(value))
 
 
 def load_path(path: str):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_stack, require_hermitian
+from .linalg import HERMITIAN_TOL, as_stack, require_hermitian
 from .operator_basis import weyl_operators
 from .reporting import VerificationReport, min_eigenvalues, worst
 from .rng import Xoshiro256
@@ -35,15 +35,39 @@ class BipartiteState:
             f"a state for d={d} is a (d^2, d^2) density matrix with d >= 1"))
 
 
+def _partial_transposes(d: int, rhos: np.ndarray) -> np.ndarray:
+    """Transpose on the second factor of each matrix of a (K, d^2, d^2) stack."""
+    return rhos.reshape(-1, d, d, d, d).transpose(0, 1, 4, 3, 2).reshape(-1, d * d, d * d)
+
+
+def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of each Hermitian matrix of a (K, n, n) stack, by one eigvalsh."""
+    return np.linalg.eigvalsh(stack).min(axis=-1)
+
+
+def _check_density_matrices(rhos: np.ndarray, min_eigs: np.ndarray) -> None:
+    """Hermiticity, unit trace and positivity of each matrix of a (K, n, n) stack, in order.
+
+    ``min_eigs`` holds each matrix's minimum eigenvalue.  The first
+    matrix that fails a check raises the message a single matrix gives.
+    Every factory builds finite matrices, so the eigenvalues may be
+    taken before Hermiticity is known.
+    """
+    defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+    traces = rhos.trace(axis1=-2, axis2=-1).tolist()
+    for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs.tolist())):
+        if defect > HERMITIAN_TOL:
+            require_hermitian(rhos[i], what="density matrix")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr} is not 1")
+        if min_ev < -PSD_TOL:
+            raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
+
+
 def _make_state(d: int, rho: np.ndarray) -> BipartiteState:
     state = BipartiteState(d=d, rho=rho)
-    rho = require_hermitian(state.rho, what="density matrix")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
-    min_ev = float(np.linalg.eigvalsh(rho).min())
-    if min_ev < -PSD_TOL:
-        raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
+    rhos = state.rho[None]
+    _check_density_matrices(rhos, _min_eigenvalues(rhos))
     return state
 
 
@@ -64,24 +88,28 @@ def _phi_plus(d: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _bell_terms(d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """|Phi_st><Phi_st| for (s, t) in row-major order, built once per d, read-only.
+def _bell_terms(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """|Phi_st><Phi_st| for (s, t) in row-major order, grouped by support, built once per d.
 
-    Each term is (flat indices, values) of its d^2 non-zero entries in the
-    d^2 x d^2 matrix, computed as (W_st (x) I) |Phi+><Phi+| (W_st (x) I)^H.
-    The dense products are formed once here so that a mixture adds exactly
-    the same values a dense sum of these products would.
+    Each term is the dense product (W_st (x) I) |Phi+><Phi+| (W_st (x) I)^H,
+    formed once here, with d^2 non-zero entries in the d^2 x d^2 matrix.
+    The d terms of one shift t share those entries, and the supports of
+    two shifts are disjoint.  Each group is (flat indices, the (g, d^2)
+    values of its terms in row-major order, their positions in p.ravel()),
+    all read-only.
     """
     phi = _phi_plus(d)
     eye = np.eye(d, dtype=complex)
-    terms = []
-    for row in weyl_operators(d):
-        for w in row:
-            u = np.kron(w, eye)
-            term = (u @ phi @ u.conj().T).ravel()
-            idx = np.flatnonzero(term)
-            terms.append((_read_only(idx), _read_only(term[idx])))
-    return tuple(terms)
+    groups: dict[bytes, tuple[np.ndarray, list, list]] = {}
+    for j, w in enumerate(w for row in weyl_operators(d) for w in row):
+        u = np.kron(w, eye)
+        term = (u @ phi @ u.conj().T).ravel()
+        idx = np.flatnonzero(term)
+        group = groups.setdefault(idx.tobytes(), (idx, [], []))
+        group[1].append(term[idx])
+        group[2].append(j)
+    return tuple((_read_only(idx), _read_only(np.array(vals)), _read_only(np.array(pos)))
+                 for idx, vals, pos in groups.values())
 
 
 def max_entangled(d: int) -> BipartiteState:
@@ -97,29 +125,72 @@ def isotropic(d: int, alpha: float) -> BipartiteState:
     return _make_state(d, rho)
 
 
+def _probability_grids(p: np.ndarray, d: int) -> np.ndarray:
+    """A (K, d, d) float stack of grids, each of finite, non-negative weights summing to 1.
+
+    The grids are checked in order; the first that fails raises the
+    message a single grid gives.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        finite = np.isfinite(p).all(axis=(1, 2)).tolist()
+        mins = p.min(axis=(1, 2)).tolist()
+        sums = p.reshape(len(p), d * d).sum(axis=1).tolist()
+    for ok, low, total in zip(finite, mins, sums):
+        # NaN passes both comparisons below, so it is refused first
+        if not ok:
+            raise ValueError("probability grid must be finite")
+        if low < 0.0:
+            raise ValueError(f"probabilities must be non-negative, min is {low!r}")
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    return p
+
+
+def _bell_mixtures(d: int, p: np.ndarray) -> np.ndarray:
+    """sum_{s,t} p[k,s,t] |Phi_st><Phi_st| for each grid of a (K, d, d) stack, as (K, d^2, d^2).
+
+    Each entry is the sum, from zero and in row-major order, of its
+    terms' weighted values, so every matrix gets exactly the sums that
+    adding the terms one by one gives.  A zero weight adds a signed zero
+    to an entry that is never -0.0, which leaves it unchanged.
+    """
+    k = len(p)
+    weights = p.reshape(k, d * d)
+    rho = np.zeros((k, d ** 4), dtype=complex)
+    for idx, vals, pos in _bell_terms(d):
+        rho[:, idx] = np.add.reduce(weights[:, pos, None] * vals, axis=1, initial=0j)
+    return rho.reshape(k, d * d, d * d)
+
+
 def _probability_grid(p, d: int) -> np.ndarray:
     """p as a d x d float array of finite, non-negative weights summing to 1."""
     p = np.asarray(p, dtype=float)
     if p.shape != (d, d):
         raise ValueError(f"probability grid must be {d} x {d}, got {p.shape}")
-    # NaN passes both comparisons below, so it is refused first
-    if not np.isfinite(p).all():
-        raise ValueError("probability grid must be finite")
-    if p.min() < 0.0:
-        raise ValueError(f"probabilities must be non-negative, min is {float(p.min())!r}")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities must sum to 1, got {float(p.sum())!r}")
-    return p
+    return _probability_grids(p[None], d)[0]
 
 
 def bell_diagonal(d: int, p) -> BipartiteState:
     """Mixture sum_{s,t} p[s,t] |Phi_st><Phi_st| of Weyl-displaced Bell states."""
-    p = _probability_grid(p, d)
-    rho = np.zeros(d ** 4, dtype=complex)
-    for weight, (idx, vals) in zip(p.ravel(), _bell_terms(d)):
-        if weight != 0.0:
-            rho[idx] += weight * vals
-    return _make_state(d, rho.reshape(d * d, d * d))
+    return _make_state(d, _bell_mixtures(d, _probability_grid(p, d)[None])[0])
+
+
+def bell_diagonal_ppt(d: int, p) -> np.ndarray:
+    """Minimum partial-transpose eigenvalue of the Bell-diagonal state of each grid in p.
+
+    ``p`` is a (K, d, d) stack of probability grids.  Each grid and each
+    state is checked as :func:`bell_diagonal` checks it, and the first
+    that fails raises the message it would; each value is the one
+    :func:`ppt_check` gives.  One stacked eigvalsh covers the K states
+    and their K partial transposes.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 3 or p.shape[1:] != (d, d):
+        raise ValueError(f"probability grids must be a K x {d} x {d} stack, got {p.shape}")
+    rhos = _bell_mixtures(d, _probability_grids(p, d))
+    min_eigs = _min_eigenvalues(np.concatenate([rhos, _partial_transposes(d, rhos)]))
+    _check_density_matrices(rhos, min_eigs[:len(p)])
+    return min_eigs[len(p):]
 
 
 def random_pure(d: int, seed: int) -> np.ndarray:
@@ -164,9 +235,7 @@ def random_density(d: int, seed: int) -> BipartiteState:
 
 def partial_transpose(state: BipartiteState) -> np.ndarray:
     """Transpose on the second factor: ((i,j),(k,l)) -> ((i,l),(k,j))."""
-    d = state.d
-    r4 = state.rho.reshape(d, d, d, d)
-    return r4.transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    return _partial_transposes(state.d, state.rho[None])[0]
 
 
 @np.errstate(invalid="ignore", over="ignore")
@@ -199,6 +268,5 @@ def ppt_check(state: BipartiteState, tol: float = 1e-10) -> PptResult:
     and 2 (x) 2 systems); elsewhere treat a PPT verdict as a necessary
     condition.
     """
-    pt = partial_transpose(state)
-    min_ev = float(np.linalg.eigvalsh(pt).min())
+    min_ev = float(_min_eigenvalues(_partial_transposes(state.d, state.rho[None]))[0])
     return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -tol))

@@ -4,13 +4,14 @@ import itertools
 import json
 import os
 import stat
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa
-from mumkit import cli, gell_mann_basis, serialize
+from mumkit import OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
@@ -410,6 +411,14 @@ MALFORMED_PAYLOADS = {
     "mub-d1": {"d": 1, "bases": [{"dim": 1, "entries": [[1.0, 0.0]]}] * 2},
     # a state whose d squares to its dim, but is negative, passed verify
     "state-d-negative": {"d": -2, "rho": {"dim": 4, "entries": [[0.25, 0.0]] * 16}},
+    # a missing required key printed only its repr, e.g. "error: 'd'"
+    "mums-no-d": {"kappa": 0.5, "t": None,
+                  "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 2] * 3},
+    "mums-no-kappa": {"d": 2, "t": None,
+                      "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 2] * 3},
+    "basis-item-no-n": [{"b": 1, "matrix": {"dim": 2, "entries": [[0.0, 0.0]] * 4}}] * 3,
+    "basis-item-no-b": [{"n": 1, "matrix": {"dim": 2, "entries": [[0.0, 0.0]] * 4}}] * 3,
+    "basis-item-no-matrix": [{"n": 1, "b": 1}] * 3,
     # a gen-basis --d 3 file with the labels of items 0 and 1 swapped passed verify
     "basis-labels-swapped": [
         {"n": n, "b": b, "matrix": serialize.matrix_to_obj(el)}
@@ -437,6 +446,11 @@ def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
                "got shape (2, 1, 1)\n"),
     ("basis-labels-swapped", "error: operator basis item 0 is labelled (n, b) = (2, 1), but the "
                              "block rule b = i div (d-1) + 1, n = i mod (d-1) + 1 gives (1, 1)\n"),
+    ("mums-no-d", "error: measurement set payload is missing the key 'd'\n"),
+    ("mums-no-kappa", "error: measurement set payload is missing the key 'kappa'\n"),
+    ("basis-item-no-n", "error: operator basis item 0 is missing the key 'n'\n"),
+    ("basis-item-no-b", "error: operator basis item 0 is missing the key 'b'\n"),
+    ("basis-item-no-matrix", "error: operator basis item 0 is missing the key 'matrix'\n"),
 ])
 def test_verify_malformed_payload_names_the_problem(tmp_path, capsys, name, message):
     bad = tmp_path / "bad.json"
@@ -837,3 +851,60 @@ def test_sweep_written_twice_equals_stdout(tmp_path, capsys):
 
 def test_output_to_dev_null_exits_0(capsys):
     assert run(capsys, GEN_MUMS_D3 + ["-o", os.devnull])[0] == 0
+
+
+def test_gen_mums_d16_stdout_equals_file_bytes(tmp_path, capsys):
+    out = tmp_path / "mums16.json"
+    assert run(capsys, ["gen-mums", "--d", "16", "-o", str(out)])[0] == 0
+    code, stdout, err = run(capsys, ["gen-mums", "--d", "16"])
+    assert (code, err) == (0, "")
+    assert stdout.encode("utf-8") == out.read_bytes()
+    assert _sha(stdout) == FROZEN_ARTIFACTS[("gen-mums", "--d", "16")]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_gen_with_non_finite_entry_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
+    elements = gell_mann_basis(3).elements.copy()
+    elements[-1, 2, 2] = bad
+    monkeypatch.setattr(cli, "gell_mann_basis", lambda d: OperatorBasis(d=d, elements=elements))
+    with pytest.raises(ValueError) as want:
+        json.dumps(bad, allow_nan=False)
+    refused = (2, "", f"error: {want.value}\n")
+    assert run(capsys, ["gen-basis", "--d", "3"]) == refused
+    new = tmp_path / "new.json"
+    assert run(capsys, ["gen-basis", "--d", "3", "-o", str(new)]) == refused
+    assert not new.exists()
+    old = tmp_path / "old.json"
+    old.write_text("old contents")
+    assert run(capsys, ["gen-basis", "--d", "3", "-o", str(old)]) == refused
+    assert old.read_text() == "old contents"
+
+
+@pytest.mark.parametrize("block_points", [1, 7, None], ids=["1", "7", "default"])
+def test_bell_sweep_blocks_match_per_point_states(monkeypatch, block_points):
+    d = 3
+    spec = SweepSpec(family="bell-diagonal", d=d, start=0.12, stop=1.0, step=0.01, kappa=0.5)
+    if block_points is not None:
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK_ENTRIES", block_points * d ** 4)
+    rows = emit_figure_data(spec).splitlines()[1:]
+    assert len(rows) == len(spec.grid())
+    for c, row in zip(spec.grid(), rows):
+        # the per-point sweep: one grid, one state and one partial transpose at a time
+        p = np.full((d, d), (1.0 - c) / (d * d - 1))
+        p[0, 0] = c
+        p /= p.sum()
+        assert row.split(",")[-1] == repr(ppt_check(bell_diagonal(d, p)).min_eigenvalue)
+
+
+@pytest.mark.parametrize("module", ["mumkit", "mumkit.cli"])
+def test_python_m_runs_the_command_line(tmp_path, module):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "m.json"
+    done = subprocess.run([sys.executable, "-m", module, "gen-mums", "--d", "3", "-o", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_MUMS_D3_DIGEST
+    done = subprocess.run([sys.executable, "-m", module, "gen-mums", "--bogus"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2 and done.stderr.count("\n") == 1

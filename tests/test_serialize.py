@@ -1,9 +1,18 @@
 import json
+import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mumkit import (
+    BasisSet,
+    BipartiteState,
+    MumSet,
+    OperatorBasis,
     Xoshiro256,
     gell_mann_basis,
     grouped_gell_mann_basis,
@@ -11,6 +20,7 @@ from mumkit import (
     mub_prime,
     mum_criterion,
     optimal_mums,
+    random_separable,
 )
 from mumkit import conjugate_mums
 from mumkit import serialize as ser
@@ -217,3 +227,131 @@ def test_verification_report_is_strict_json():
     assert obj["details"] == {"kappa_inferred": None}
     with pytest.raises(ValueError):
         ser.dumps({"value": float("nan")})
+
+
+# -- the value-table encoder: dumps(value) against json.dumps(x_to_obj(value)) --
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               1.0, -2.0, 3.0, 1e16, 2.0 ** 53, 0.1, 1 / 3]
+FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+TO_OBJ = {OperatorBasis: ser.operator_basis_to_obj, BasisSet: ser.basis_set_to_obj,
+          MumSet: ser.mums_to_obj, BipartiteState: ser.state_to_obj}
+
+
+def _stack(shape, pool, seed):
+    # entries drawn from a small pool, so values and [re, im] pairs repeat
+    pick = np.random.default_rng(seed).integers(len(pool), size=2 * math.prod(shape))
+    return np.array(pool)[pick].view(complex).reshape(shape)
+
+
+@st.composite
+def value_objects(draw):
+    d = draw(st.integers(2, 4))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(sorted(TO_OBJ, key=lambda k: k.__name__)))
+    if kind is OperatorBasis:
+        return OperatorBasis(d=d, elements=_stack((d * d - 1, d, d), pool, seed))
+    if kind is BasisSet:
+        return BasisSet(d=d, bases=_stack((draw(st.integers(0, 5)), d, d), pool, seed))
+    if kind is MumSet:
+        return MumSet(d=d, elements=_stack((d + 1, d, d, d), pool, seed), kappa=draw(FLOATS),
+                      t=draw(st.none() | FLOATS))
+    return BipartiteState(d=d, rho=_stack((d * d, d * d), pool, seed))
+
+
+@pytest.mark.parametrize("block", [1, 5, ser._BLOCK_PAIRS])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(value=value_objects())
+def test_dumps_matches_json_of_the_object_view(block, value):
+    with mock.patch.object(ser, "_BLOCK_PAIRS", block):
+        text = ser.dumps(value)
+        pieces = list(ser.iterencode(value))
+    assert text == json.dumps(TO_OBJ[type(value)](value)) + "\n"
+    assert "".join(pieces) == text
+
+
+MULTI_BLOCK_VALUES = {
+    "mums-d16": optimal_mums(16),
+    "basis-d16": gell_mann_basis(16),
+    # one matrix of 10^4 pairs, cut mid-matrix into blocks
+    "state-d10": random_separable(10, 2, 5),
+}
+
+
+@pytest.mark.parametrize("value", list(MULTI_BLOCK_VALUES.values()), ids=list(MULTI_BLOCK_VALUES))
+def test_dumps_matches_json_across_blocks(value):
+    pieces = list(ser.iterencode(value))
+    assert len(pieces) > 1
+    # a piece holds one block of at most _BLOCK_PAIRS pairs, each under 60 characters
+    assert max(map(len, pieces)) < 60 * ser._BLOCK_PAIRS
+    assert "".join(pieces) == json.dumps(TO_OBJ[type(value)](value)) + "\n"
+
+
+def _with_entry(value, bad):
+    if isinstance(value, OperatorBasis):
+        return OperatorBasis(d=value.d, elements=_set_last(value.elements, bad))
+    if isinstance(value, BasisSet):
+        return BasisSet(d=value.d, bases=_set_last(value.bases, bad))
+    if isinstance(value, MumSet):
+        return MumSet(d=value.d, elements=_set_last(value.elements, bad), kappa=value.kappa,
+                      t=value.t)
+    return BipartiteState(d=value.d, rho=_set_last(value.rho, bad))
+
+
+def _set_last(a, bad):
+    a = a.copy()
+    a.reshape(-1)[-1] = complex(0.5, bad)
+    return a
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [gell_mann_basis(16), mub_prime(3), optimal_mums(3),
+                                   isotropic(2, 0.5)], ids=lambda v: type(v).__name__)
+def test_non_finite_entry_raises_json_error_before_any_piece(value, bad):
+    value = _with_entry(value, bad)
+    with pytest.raises(ValueError) as want:
+        json.dumps(TO_OBJ[type(value)](value), allow_nan=False)
+    pieces = ser.iterencode(value)
+    with pytest.raises(ValueError) as got:
+        next(pieces)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        ser.dumps(value)
+
+
+@pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+def test_non_finite_kappa_raises(kappa):
+    ms = optimal_mums(2)
+    with pytest.raises(ValueError):
+        ser.dumps(MumSet(d=2, elements=ms.elements, kappa=kappa, t=ms.t))
+
+
+def test_plain_objects_are_json_text():
+    obj = {"a": [1, 2.5, None], "b": -0.0}
+    assert ser.dumps(obj) == json.dumps(obj) + "\n"
+    assert list(ser.iterencode(obj)) == [ser.dumps(obj)]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"kappa": 0.5, "elements": [[{"dim": 1, "entries": [[1.0, 0.0]]}]]},
+     "measurement set payload is missing the key 'd'"),
+    ({"d": 2, "elements": [[{"dim": 1, "entries": [[1.0, 0.0]]}]]},
+     "measurement set payload is missing the key 'kappa'"),
+    ([{"b": 1, "matrix": {"dim": 1, "entries": [[1.0, 0.0]]}}],
+     "operator basis item 0 is missing the key 'n'"),
+    ([{"n": 1, "matrix": {"dim": 1, "entries": [[1.0, 0.0]]}}],
+     "operator basis item 0 is missing the key 'b'"),
+    ([{"n": 1, "b": 1}], "operator basis item 0 is missing the key 'matrix'"),
+])
+def test_missing_key_names_the_key_and_the_payload(payload, message):
+    load = ser.operator_basis_from_obj if isinstance(payload, list) else ser.mums_from_obj
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(payload)
+
+
+def test_dumps_keeps_signed_zeros_apart():
+    value = BasisSet(d=2, bases=[_SIGNED_ZEROS, _SIGNED_ZEROS.T, -_SIGNED_ZEROS])
+    text = ser.dumps(value)
+    assert text == json.dumps(ser.basis_set_to_obj(value)) + "\n"
+    assert "[0.0, -0.0]" in text and "[-0.0, 0.0]" in text

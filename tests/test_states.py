@@ -16,6 +16,13 @@ from mumkit import (
     verify_state,
     weyl_operators,
 )
+from mumkit.states import (
+    _bell_mixtures,
+    _check_density_matrices,
+    _make_state,
+    _min_eigenvalues,
+    bell_diagonal_ppt,
+)
 
 
 def test_max_entangled_d2_entries():
@@ -268,3 +275,55 @@ def test_rho_is_one_validated_array():
                         (-2, np.eye(4), "shape (4, 4)"), (2, [[1.0], [0.0, 1.0]], "a ragged grid")):
         with pytest.raises(ValueError, match=r"d >= 1, got " + re.escape(got)):
             BipartiteState(d=d, rho=rho)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+def test_stacked_bell_states_match_per_point(d):
+    grids = np.array(_bell_grids(d, 500 + d))
+    rhos = _bell_mixtures(d, grids)
+    for p, rho in zip(grids, rhos):
+        assert rho.tobytes() == bell_diagonal(d, p).rho.tobytes()
+        assert rho.tobytes() == bell_diagonal_by_kron(d, p).tobytes()
+    want = [ppt_check(bell_diagonal(d, p)).min_eigenvalue for p in grids]
+    assert bell_diagonal_ppt(d, grids).tobytes() == np.array(want).tobytes()
+
+
+def test_stacked_eigenvalues_match_per_matrix():
+    rhos = np.array([random_density(3, seed).rho for seed in range(12)])
+    want = [float(np.linalg.eigvalsh(rho).min()) for rho in rhos]
+    assert _min_eigenvalues(rhos).tobytes() == np.array(want).tobytes()
+
+
+def _message(call, *args):
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_bell_diagonal_ppt_raises_for_the_first_bad_grid():
+    good = np.full((2, 2), 0.25)
+    sums_wrong = np.array([[0.5, 0.25], [0.0, 0.0]])
+    negative = np.array([[1.1, -0.1], [0.0, 0.0]])
+    infinite = np.array([[1.0, 0.0], [np.inf, -np.inf]])
+    for stack, first in (([good, sums_wrong, negative], sums_wrong),
+                         ([good, good, negative, sums_wrong], negative),
+                         ([infinite, negative], infinite)):
+        want = _message(bell_diagonal, 2, first)
+        assert _message(bell_diagonal_ppt, 2, np.array(stack)) == want
+    with pytest.raises(ValueError, match="K x 2 x 2 stack"):
+        bell_diagonal_ppt(2, good)
+
+
+def test_density_checks_raise_for_the_first_bad_matrix():
+    good = isotropic(2, 0.5).rho
+    not_hermitian = good.copy()
+    not_hermitian[0, 1] += 1e-6
+    bad_trace = 1.1 * good
+    not_psd = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    for stack, first in (([good, not_psd, not_hermitian], not_psd),
+                         ([good, not_hermitian, not_psd], not_hermitian),
+                         ([bad_trace, not_psd], bad_trace)):
+        want = _message(_make_state, 2, first)
+        rhos = np.array(stack)
+        assert _message(_check_density_matrices, rhos, _min_eigenvalues(rhos)) == want
+    _check_density_matrices(good[None], _min_eigenvalues(good[None]))
