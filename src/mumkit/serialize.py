@@ -241,6 +241,7 @@ def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
     pairs = np.ascontiguousarray(stack, dtype=complex).view(np.float64).reshape(-1, 2)
     finite = np.isfinite(pairs).ravel()
     if not finite.all():
+        # json's own error for the first non-finite value in document order
         json.dumps(float(pairs.ravel()[np.argmin(finite)]), allow_nan=False)
     total = len(pairs)
     if total == 0:
@@ -277,7 +278,7 @@ def _matrix_open(dim: int) -> str:
 def _matrix_payload(value) -> tuple[np.ndarray, list[str]] | None:
     """The matrix stack of a value object and the text around its matrices, else None."""
     if isinstance(value, OperatorBasis):
-        d = value.d
+        d = int(value.d)
         opens = [f'{{"n": {n}, "b": {b}, "matrix": {_matrix_open(d)}' for n, b in value.labels]
         return value.elements, _joints("[", opens, "]}}", [", "] * len(opens), "]\n")
     if isinstance(value, BasisSet):
