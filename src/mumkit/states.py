@@ -125,7 +125,7 @@ def isotropic(d: int, alpha: float) -> BipartiteState:
     return _make_state(d, rho)
 
 
-def _probability_grids(p: np.ndarray, d: int) -> np.ndarray:
+def _probability_grids(p: np.ndarray) -> np.ndarray:
     """A (K, d, d) float stack of grids, each of finite, non-negative weights summing to 1.
 
     The grids are checked in order; the first that fails raises the
@@ -134,7 +134,7 @@ def _probability_grids(p: np.ndarray, d: int) -> np.ndarray:
     with np.errstate(invalid="ignore", over="ignore"):
         finite = np.isfinite(p).all(axis=(1, 2)).tolist()
         mins = p.min(axis=(1, 2)).tolist()
-        sums = p.reshape(len(p), d * d).sum(axis=1).tolist()
+        sums = p.reshape(len(p), -1).sum(axis=1).tolist()
     for ok, low, total in zip(finite, mins, sums):
         # NaN passes both comparisons below, so it is refused first
         if not ok:
@@ -167,7 +167,7 @@ def _probability_grid(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (d, d):
         raise ValueError(f"probability grid must be {d} x {d}, got {p.shape}")
-    return _probability_grids(p[None], d)[0]
+    return _probability_grids(p[None])[0]
 
 
 def bell_diagonal(d: int, p) -> BipartiteState:
@@ -182,12 +182,14 @@ def bell_diagonal_ppt(d: int, p) -> np.ndarray:
     state is checked as :func:`bell_diagonal` checks it, and the first
     that fails raises the message it would; each value is the one
     :func:`ppt_check` gives.  One stacked eigvalsh covers the K states
-    and their K partial transposes.
+    and their K partial transposes.  The grids are all checked before
+    the states, which keeps that order: a mixture of the orthogonal
+    Bell projectors with valid weights always passes the state checks.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 3 or p.shape[1:] != (d, d):
         raise ValueError(f"probability grids must be a K x {d} x {d} stack, got {p.shape}")
-    rhos = _bell_mixtures(d, _probability_grids(p, d))
+    rhos = _bell_mixtures(d, _probability_grids(p))
     min_eigs = _min_eigenvalues(np.concatenate([rhos, _partial_transposes(d, rhos)]))
     _check_density_matrices(rhos, min_eigs[:len(p)])
     return min_eigs[len(p):]
