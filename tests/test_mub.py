@@ -33,6 +33,24 @@ def test_prime_construction_verifies(d):
     assert report.passed, report.summary()
 
 
+def _mub_prime_loop(d):
+    # the per-entry double loop mub_prime ran for odd primes, kept as its oracle
+    bases = [np.eye(d, dtype=complex)]
+    zeta = np.exp(2j * np.pi / d)
+    for k in range(d):
+        b = np.empty((d, d), dtype=complex)
+        for j in range(d):
+            for l in range(d):
+                b[l, j] = zeta ** ((k * l * l + j * l) % d)
+        bases.append(b / np.sqrt(d))
+    return np.array(bases)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_mub_prime_matches_loop_bytes(d):
+    assert mub_prime(d).bases.tobytes() == _mub_prime_loop(d).tobytes()
+
+
 @pytest.mark.parametrize("d", [4, 6, 9])
 def test_composite_dimension_rejected(d):
     with pytest.raises(CompositeDimensionError, match="build_mums"):

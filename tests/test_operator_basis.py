@@ -113,6 +113,66 @@ def test_block_slice_matches_family_by_labels(make, d):
         assert basis.families[b - 1].tobytes() == block.tobytes(), b
 
 
+# The per-kind builders and loops the basis builders used before one
+# element builder served both layouts, kept as their oracles.
+def _sym_loop(d, j, k):
+    m = np.zeros((d, d), dtype=complex)
+    m[j, k] = 1.0
+    m[k, j] = 1.0
+    return m / np.sqrt(2.0)
+
+
+def _asym_loop(d, j, k):
+    m = np.zeros((d, d), dtype=complex)
+    m[j, k] = -1.0j
+    m[k, j] = 1.0j
+    return m / np.sqrt(2.0)
+
+
+def _diag_loop(d, l):
+    m = np.zeros((d, d), dtype=complex)
+    for j in range(l):
+        m[j, j] = 1.0
+    m[l, l] = -l
+    return m / np.sqrt(l * (l + 1))
+
+
+def _gell_mann_loops(d):
+    elements = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            elements.append(_sym_loop(d, j, k))
+    for j in range(d):
+        for k in range(j + 1, d):
+            elements.append(_asym_loop(d, j, k))
+    for l in range(1, d):
+        elements.append(_diag_loop(d, l))
+    return np.array(elements)
+
+
+def _grouped_by_realize(d):
+    elements = []
+    for family in measurement_layout(d):
+        for kind, payload in family:
+            if kind == "S":
+                elements.append(_sym_loop(d, *sorted(payload)))
+            elif kind == "A":
+                elements.append(_asym_loop(d, *sorted(payload)))
+            else:
+                elements.append(_diag_loop(d, payload))
+    return np.array(elements)
+
+
+@pytest.mark.parametrize("d", range(2, 18))
+def test_gell_mann_basis_matches_loop_bytes(d):
+    assert gell_mann_basis(d).elements.tobytes() == _gell_mann_loops(d).tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 18))
+def test_grouped_basis_matches_per_tag_bytes(d):
+    assert grouped_gell_mann_basis(d).elements.tobytes() == _grouped_by_realize(d).tobytes()
+
+
 def test_assign_grid_matches_block_rule():
     for i, (n, b) in enumerate(gell_mann_basis(4).labels):
         assert b == i // 3 + 1
@@ -152,16 +212,14 @@ def _weyl_operators_loop(d):
     return out
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 11])
+@pytest.mark.parametrize("d", range(2, 20))
 def test_weyl_operator_matches_loop_bytes(d):
     want = _weyl_operators_loop(d)
-    every = weyl_operators(d)
     for s in range(d):
         for t in range(d):
             u = weyl_operator(d, s, t)
             assert u.dtype == complex and u.shape == (d, d)
             assert u.tobytes() == want[s][t].tobytes(), (s, t)
-            assert every[s][t].tobytes() == want[s][t].tobytes(), (s, t)
 
 
 @pytest.mark.parametrize("d", [1, 0, -1])

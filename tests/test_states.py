@@ -21,6 +21,7 @@ from mumkit.states import (
     _check_density_matrices,
     _make_state,
     _min_eigenvalues,
+    _phi_plus,
     bell_diagonal_ppt,
 )
 
@@ -113,6 +114,19 @@ def test_bell_diagonal_eigenvalues_are_weights():
     rho = bell_diagonal(d, p).rho
     got = np.sort(np.linalg.eigvalsh(rho))
     assert np.abs(got - np.sort(p.ravel())).max() < 1e-10
+
+
+def _phi_plus_loop(d):
+    # the per-entry loop _phi_plus ran, kept as its oracle
+    v = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        v[i * d + i] = 1.0 / np.sqrt(d)
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("d", range(2, 20))
+def test_phi_plus_matches_loop_bytes(d):
+    assert _phi_plus(d).tobytes() == _phi_plus_loop(d).tobytes()
 
 
 def bell_diagonal_by_kron(d, p):
