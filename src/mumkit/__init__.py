@@ -53,7 +53,6 @@ from .operator_basis import (
     grouped_gell_mann_basis,
     verify_orthonormal_basis,
     weyl_operator,
-    weyl_operators,
 )
 from .reporting import VerificationReport
 from .rng import Xoshiro256
@@ -123,7 +122,6 @@ __all__ = [
     "verify_orthonormal_basis",
     "verify_state",
     "weyl_operator",
-    "weyl_operators",
 ]
 
 __version__ = "0.1.0"

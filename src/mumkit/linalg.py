@@ -36,11 +36,12 @@ def as_stack(a, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
     return arr
 
 
-def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = as_matrix(a)
     defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol:
-        raise ValueError(f"{what} is not Hermitian (max |A - A^H| = {defect:.3e} > {tol:.3e})")
+    if defect > HERMITIAN_TOL:
+        raise ValueError(f"{what} is not Hermitian "
+                         f"(max |A - A^H| = {defect:.3e} > {HERMITIAN_TOL:.3e})")
     return a
 
 

@@ -75,14 +75,11 @@ def kappa_from_t(d: int, t: float) -> float:
     return 1.0 / d + t * t * (1.0 + np.sqrt(d)) ** 2 * (d - 1)
 
 
-def t_from_kappa(d: int, kappa: float, sign: str = "+") -> float:
-    """Construction parameter giving the requested purity; sign picks the root."""
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+def t_from_kappa(d: int, kappa: float) -> float:
+    """Construction parameter t >= 0 giving the requested purity (the positive root)."""
     if not (1.0 / d <= kappa <= 1.0):
         raise ValueError(f"kappa must lie in (1/{d}, 1], got {kappa!r}")
-    t = np.sqrt((kappa - 1.0 / d) / ((1.0 + np.sqrt(d)) ** 2 * (d - 1)))
-    return float(t if sign == "+" else -t)
+    return float(np.sqrt((kappa - 1.0 / d) / ((1.0 + np.sqrt(d)) ** 2 * (d - 1))))
 
 
 _BUILD_PSD_TOL = 1e-12
@@ -199,12 +196,12 @@ def conjugate_mums(ms: MumSet) -> MumSet:
     )
 
 
-def rotate_mums(ms: MumSet, u: np.ndarray, tol: float = 1e-10) -> MumSet:
-    """Conjugate every element by a unitary u: P -> u P u^H; kappa is unchanged."""
+def rotate_mums(ms: MumSet, u: np.ndarray) -> MumSet:
+    """Conjugate every element by a unitary u (to 1e-10): P -> u P u^H; kappa is unchanged."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (ms.d, ms.d):
         raise ValueError(f"unitary must be {ms.d} x {ms.d}, got {u.shape}")
-    if float(np.abs(u.conj().T @ u - np.eye(ms.d)).max()) > tol:
+    if float(np.abs(u.conj().T @ u - np.eye(ms.d)).max()) > 1e-10:
         raise ValueError("rotation matrix is not unitary")
     uh = u.conj().T
     basis = ms.source_basis

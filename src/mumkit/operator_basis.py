@@ -65,36 +65,21 @@ class OperatorBasis:
         return tuple((i % (d - 1) + 1, i // (d - 1) + 1) for i in range(d * d - 1))
 
 
-def _sym(d: int, j: int, k: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[j, k] = 1.0
-    m[k, j] = 1.0
-    return m / np.sqrt(2.0)
+def _element(d: int, tag: tuple) -> np.ndarray:
+    """The basis element of a tag: ("S", (j, k)), ("A", (j, k)) or ("D", l).
 
-
-def _asym(d: int, j: int, k: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    m[j, k] = -1.0j
-    m[k, j] = 1.0j
-    return m / np.sqrt(2.0)
-
-
-def _diag(d: int, l: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(l):
-        m[j, j] = 1.0
-    m[l, l] = -l
-    return m / np.sqrt(l * (l + 1))
-
-
-def _realize(d: int, tag: tuple) -> np.ndarray:
-    # pair tags may arrive in path order; the element is defined on sorted indices
+    Pair tags may arrive in path order; the element is defined on sorted indices.
+    """
     kind, payload = tag
-    if kind == "S":
-        return _sym(d, *sorted(payload))
-    if kind == "A":
-        return _asym(d, *sorted(payload))
-    return _diag(d, payload)
+    m = np.zeros((d, d), dtype=complex)
+    if kind == "D":
+        l = payload
+        m.flat[:l * (d + 1):d + 1] = 1.0
+        m[l, l] = -l
+        return m / np.sqrt(l * (l + 1))
+    j, k = sorted(payload)
+    m[j, k], m[k, j] = (1.0, 1.0) if kind == "S" else (-1.0j, 1.0j)
+    return m / np.sqrt(2.0)
 
 
 def gell_mann_basis(d: int) -> OperatorBasis:
@@ -105,16 +90,9 @@ def gell_mann_basis(d: int) -> OperatorBasis:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    elements = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            elements.append(_sym(d, j, k))
-    for j in range(d):
-        for k in range(j + 1, d):
-            elements.append(_asym(d, j, k))
-    for l in range(1, d):
-        elements.append(_diag(d, l))
-    return OperatorBasis(d=d, elements=elements)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    tags = [("S", p) for p in pairs] + [("A", p) for p in pairs] + [("D", l) for l in range(1, d)]
+    return OperatorBasis(d=d, elements=[_element(d, tag) for tag in tags])
 
 
 def _zigzag(start: int, n: int) -> list[int]:
@@ -167,11 +145,8 @@ def measurement_layout(d: int) -> list[list[tuple]]:
 
 def grouped_gell_mann_basis(d: int) -> OperatorBasis:
     """Gell-Mann basis reordered family-major per :func:`measurement_layout`."""
-    elements = []
-    for family in measurement_layout(d):
-        for tag in family:
-            elements.append(_realize(d, tag))
-    return OperatorBasis(d=d, elements=elements)
+    tags = [tag for family in measurement_layout(d) for tag in family]
+    return OperatorBasis(d=d, elements=[_element(d, tag) for tag in tags])
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
@@ -179,17 +154,10 @@ def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     zeta = np.exp(2j * np.pi / d)
+    j = np.arange(d)
     u = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        u[j, (j + t) % d] = zeta ** ((s * j) % d)
+    u[j, (j + t) % d] = zeta ** ((s * j) % d)
     return u
-
-
-def weyl_operators(d: int) -> list[list[np.ndarray]]:
-    """Weyl operators U[s][t] = weyl_operator(d, s, t), s,t in 0..d-1."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    return [[weyl_operator(d, s, t) for t in range(d)] for s in range(d)]
 
 
 def verify_orthonormal_basis(basis: OperatorBasis, tol: float = 1e-10) -> VerificationReport:

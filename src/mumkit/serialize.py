@@ -20,6 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .criteria import DetectionReport
+from .linalg import as_matrix
 from .mub import BasisSet
 from .mum import MumSet
 from .operator_basis import OperatorBasis
@@ -28,9 +29,7 @@ from .states import BipartiteState
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = as_matrix(a)
     # one tolist() yields the same Python floats, -0.0 included, in row-major order
     return {
         "dim": int(a.shape[0]),

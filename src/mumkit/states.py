@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import HERMITIAN_TOL, as_stack, require_hermitian
-from .operator_basis import weyl_operators
+from .operator_basis import weyl_operator
 from .reporting import VerificationReport, min_eigenvalues, worst
 from .rng import Xoshiro256
 
@@ -82,8 +82,7 @@ def _phi_plus(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0 / np.sqrt(d)
+    v[::d + 1] = 1.0 / np.sqrt(d)
     return _read_only(np.outer(v, v.conj()))
 
 
@@ -101,8 +100,8 @@ def _bell_terms(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     phi = _phi_plus(d)
     eye = np.eye(d, dtype=complex)
     groups: dict[bytes, tuple[np.ndarray, list, list]] = {}
-    for j, w in enumerate(w for row in weyl_operators(d) for w in row):
-        u = np.kron(w, eye)
+    for j in range(d * d):
+        u = np.kron(weyl_operator(d, *divmod(j, d)), eye)
         term = (u @ phi @ u.conj().T).ravel()
         idx = np.flatnonzero(term)
         group = groups.setdefault(idx.tobytes(), (idx, [], []))
@@ -262,8 +261,8 @@ class PptResult:
     is_ppt: bool
 
 
-def ppt_check(state: BipartiteState, tol: float = 1e-10) -> PptResult:
-    """Minimum eigenvalue of the partial transpose; PPT iff it is >= -tol.
+def ppt_check(state: BipartiteState) -> PptResult:
+    """Minimum eigenvalue of the partial transpose; PPT iff it is >= -PSD_TOL (1e-10).
 
     A negative result certifies entanglement for any d.  PPT implies
     separability only where the criterion is exact (the isotropic family
@@ -271,4 +270,4 @@ def ppt_check(state: BipartiteState, tol: float = 1e-10) -> PptResult:
     condition.
     """
     min_ev = float(_min_eigenvalues(_partial_transposes(state.d, state.rho[None]))[0])
-    return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -tol))
+    return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -PSD_TOL))

@@ -10,7 +10,6 @@ from mumkit import (
     trace_product,
     verify_orthonormal_basis,
     weyl_operator,
-    weyl_operators,
 )
 from mumkit.operator_basis import measurement_layout
 
@@ -180,20 +179,18 @@ def test_assign_grid_matches_block_rule():
 
 
 def test_weyl_identity():
-    assert np.array_equal(weyl_operators(3)[0][0], np.eye(3))
+    assert np.array_equal(weyl_operator(3, 0, 0), np.eye(3))
 
 
 def test_weyl_d2_pauli():
-    w = weyl_operators(2)
-    assert np.abs(w[1][0] - PAULI_Z).max() < 1e-15
-    assert np.abs(w[0][1] - PAULI_X).max() < 1e-15
+    assert np.abs(weyl_operator(2, 1, 0) - PAULI_Z).max() < 1e-15
+    assert np.abs(weyl_operator(2, 0, 1) - PAULI_X).max() < 1e-15
 
 
 def test_weyl_unitarity_d5():
-    w = weyl_operators(5)
     for s in range(5):
         for t in range(5):
-            u = w[s][t]
+            u = weyl_operator(5, s, t)
             assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-12
 
 
@@ -225,14 +222,12 @@ def test_weyl_operator_matches_loop_bytes(d):
 @pytest.mark.parametrize("d", [1, 0, -1])
 def test_weyl_operators_reject_small_d(d):
     with pytest.raises(ValueError, match="at least 2"):
-        weyl_operators(d)
-    with pytest.raises(ValueError, match="at least 2"):
         weyl_operator(d, 0, 0)
 
 
 def test_weyl_orthogonality():
     d = 4
-    w = [u for row in weyl_operators(d) for u in row]
+    w = [weyl_operator(d, s, t) for s in range(d) for t in range(d)]
     for i, a in enumerate(w):
         for j, b in enumerate(w):
             want = d if i == j else 0.0

@@ -14,7 +14,7 @@ from mumkit import (
     random_pure,
     random_separable,
     verify_state,
-    weyl_operators,
+    weyl_operator,
 )
 from mumkit.states import (
     _bell_mixtures,
@@ -134,14 +134,13 @@ def bell_diagonal_by_kron(d, p):
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * (d + 1)] = 1.0 / np.sqrt(d)
     phi = np.outer(v, v.conj())
-    weyls = weyl_operators(d)
     eye = np.eye(d, dtype=complex)
     rho = np.zeros((d * d, d * d), dtype=complex)
     for s in range(d):
         for t in range(d):
             if p[s, t] == 0.0:
                 continue
-            u = np.kron(weyls[s][t], eye)
+            u = np.kron(weyl_operator(d, s, t), eye)
             rho += p[s, t] * (u @ phi @ u.conj().T)
     return rho
 
