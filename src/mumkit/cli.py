@@ -84,23 +84,34 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in ("isotropic", "bell-diagonal"):
             raise CliError(f"unsupported sweep family {self.family!r}")
+        if self.d < 2:
+            raise CliError(f"dimension must be at least 2, got {self.d}")
+        if not np.isfinite([self.start, self.stop, self.step]).all():
+            raise CliError(f"--param start, stop and step must be finite, "
+                           f"got {self.start!r}:{self.stop!r}:{self.step!r}")
         if self.step <= 0:
             raise CliError(f"sweep step must be positive, got {self.step!r}")
         if self.start > self.stop:
             raise CliError(f"sweep start {self.start!r} exceeds stop {self.stop!r}")
-        if len(self.grid()) > MAX_GRID_POINTS:
+        if self._points() > MAX_GRID_POINTS:
             raise CliError("sweep grid exceeds the limit of 1e6 points")
+
+    def _points(self) -> float:
+        """The grid's point count, inf when the span over the step overflows."""
+        return np.floor((self.stop - self.start) / self.step + 1e-9) + 1
 
     def grid(self) -> list[float]:
         if self.start == self.stop:
             return [self.start]
-        n = int(np.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + i * self.step for i in range(n)]
+        return [self.start + i * self.step for i in range(int(self._points()))]
 
     def resolve_kappa(self) -> float:
+        """The sweep's purity, refused (ValueError) outside [1/d, 1] as t_from_kappa refuses it."""
         if self.kappa == "optimal":
             return optimal_kappa(self.d)
-        return float(self.kappa)
+        kappa = float(self.kappa)
+        t_from_kappa(self.d, kappa)
+        return kappa
 
 
 def _mums_for(d: int, kappa=None, t=None, use_max_t=False, layout: str = "grouped") -> MumSet:

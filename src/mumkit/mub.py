@@ -60,6 +60,8 @@ def mub_prime(d: int) -> BasisSet:
     <l | j_k> = zeta^(k l^2 + j l) / sqrt(d) with zeta = exp(2 pi i / d);
     for d = 2 the three Pauli eigenbases are returned.
     """
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     if not _is_prime(d):
         raise CompositeDimensionError(
             f"no complete MUB construction for composite d={d}; "

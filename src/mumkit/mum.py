@@ -78,7 +78,7 @@ def kappa_from_t(d: int, t: float) -> float:
 def t_from_kappa(d: int, kappa: float) -> float:
     """Construction parameter t >= 0 giving the requested purity (the positive root)."""
     if not (1.0 / d <= kappa <= 1.0):
-        raise ValueError(f"kappa must lie in (1/{d}, 1], got {kappa!r}")
+        raise ValueError(f"kappa must lie in [1/{d}, 1], got {kappa!r}")
     return float(np.sqrt((kappa - 1.0 / d) / ((1.0 + np.sqrt(d)) ** 2 * (d - 1))))
 
 

@@ -376,6 +376,13 @@ def test_composite_mub_request_exits_2(capsys):
     assert "composite" in err
 
 
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_gen_mub_small_d_exits_2(capsys, d):
+    code, out, err = run(capsys, ["gen-mub", "--d", d])
+    assert code == 2 and out == ""
+    assert err == f"error: dimension must be at least 2, got {d}\n"
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, ["verify", "/nonexistent/nothing.json"])
     assert code == 2
@@ -741,6 +748,53 @@ def test_sweep_rejects_bad_grid(capsys):
     )
     assert code == 2
     assert "start" in err
+
+
+@pytest.mark.parametrize("param", ["0:inf:1", "nan:1:0.1", "0:1:nan", "-inf:1:1", "0:inf:inf"])
+def test_sweep_refuses_non_finite_param(capsys, param):
+    code, out, err = run(capsys, ["sweep", "--family", "isotropic", "--d", "2",
+                                  f"--param={param}"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --param") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("param", ["0:1:1e-320", "0:1:5e-7", "0:1:1e-10", "-1e308:1e308:1"])
+def test_sweep_counts_points_before_building_the_grid(capsys, monkeypatch, param):
+    def no_grid(self):
+        raise AssertionError("the grid was built before its size was checked")
+
+    monkeypatch.setattr(SweepSpec, "grid", no_grid)
+    code, out, err = run(capsys, ["sweep", "--family", "isotropic", "--d", "2",
+                                  f"--param={param}"])
+    assert code == 2 and out == ""
+    assert err == "error: sweep grid exceeds the limit of 1e6 points\n"
+
+
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+@pytest.mark.parametrize("kappa", ["5", "nan", "inf", "-inf", "-1", "0.3", "1.0000001"])
+def test_sweep_refuses_kappa_outside_its_range(tmp_path, capsys, family, kappa):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(capsys, ["sweep", "--family", family, "--d", "3",
+                                "--param", "0.5:1:0.25", f"--kappa={kappa}", "-o", str(out)])
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: kappa must lie in [1/3, 1]") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kappa", ["1/3", "1"])
+def test_bell_sweep_accepts_kappa_at_its_range_ends(capsys, kappa):
+    kappa = repr(1.0 / 3.0) if kappa == "1/3" else kappa
+    code, out, _ = run(capsys, ["sweep", "--family", "bell-diagonal", "--d", "3",
+                                "--param", "0.5:1:0.25", "--kappa", kappa])
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_sweep_refuses_small_d(capsys, family, d):
+    code, _, err = run(capsys, ["sweep", "--family", family, "--d", d, "--kappa", "0.5",
+                                "--param", "0.5:1:0.25"])
+    assert code == 2
+    assert err == f"error: dimension must be at least 2, got {d}\n"
 
 
 def test_bell_sweep_onset_decreases_with_kappa(tmp_path, capsys):
