@@ -65,21 +65,25 @@ class OperatorBasis:
         return tuple((i % (d - 1) + 1, i // (d - 1) + 1) for i in range(d * d - 1))
 
 
-def _element(d: int, tag: tuple) -> np.ndarray:
-    """The basis element of a tag: ("S", (j, k)), ("A", (j, k)) or ("D", l).
+def _elements(d: int, tags: list[tuple]) -> np.ndarray:
+    """The basis elements of tags ("S", (j, k)), ("A", (j, k)) or ("D", l), as one stack.
 
-    Pair tags may arrive in path order; the element is defined on sorted indices.
+    Pair tags may arrive in path order; an element is defined on sorted indices.
     """
-    kind, payload = tag
-    m = np.zeros((d, d), dtype=complex)
-    if kind == "D":
-        l = payload
-        m.flat[:l * (d + 1):d + 1] = 1.0
-        m[l, l] = -l
-        return m / np.sqrt(l * (l + 1))
-    j, k = sorted(payload)
-    m[j, k], m[k, j] = (1.0, 1.0) if kind == "S" else (-1.0j, 1.0j)
-    return m / np.sqrt(2.0)
+    m = np.zeros((len(tags), d, d), dtype=complex)
+    norms = np.empty(len(tags))
+    for i, (kind, payload) in enumerate(tags):
+        if kind == "D":
+            l = payload
+            m[i, range(l), range(l)] = 1.0
+            m[i, l, l] = -l
+            norms[i] = np.sqrt(l * (l + 1))
+        else:
+            j, k = sorted(payload)
+            m[i, j, k], m[i, k, j] = (1.0, 1.0) if kind == "S" else (-1.0j, 1.0j)
+            norms[i] = np.sqrt(2.0)
+    m /= norms[:, None, None]
+    return m
 
 
 def gell_mann_basis(d: int) -> OperatorBasis:
@@ -92,7 +96,7 @@ def gell_mann_basis(d: int) -> OperatorBasis:
         raise ValueError(f"dimension must be at least 2, got {d}")
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     tags = [("S", p) for p in pairs] + [("A", p) for p in pairs] + [("D", l) for l in range(1, d)]
-    return OperatorBasis(d=d, elements=[_element(d, tag) for tag in tags])
+    return OperatorBasis(d=d, elements=_elements(d, tags))
 
 
 def _zigzag(start: int, n: int) -> list[int]:
@@ -146,7 +150,7 @@ def measurement_layout(d: int) -> list[list[tuple]]:
 def grouped_gell_mann_basis(d: int) -> OperatorBasis:
     """Gell-Mann basis reordered family-major per :func:`measurement_layout`."""
     tags = [tag for family in measurement_layout(d) for tag in family]
-    return OperatorBasis(d=d, elements=[_element(d, tag) for tag in tags])
+    return OperatorBasis(d=d, elements=_elements(d, tags))
 
 
 def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
