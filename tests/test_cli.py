@@ -780,9 +780,8 @@ def test_sweep_refuses_kappa_outside_its_range(tmp_path, capsys, family, kappa):
     assert err.startswith("error: kappa must lie in [1/3, 1]") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("kappa", ["1/3", "1"])
+@pytest.mark.parametrize("kappa", [repr(1.0 / 3.0), "1"])
 def test_bell_sweep_accepts_kappa_at_its_range_ends(capsys, kappa):
-    kappa = repr(1.0 / 3.0) if kappa == "1/3" else kappa
     code, out, _ = run(capsys, ["sweep", "--family", "bell-diagonal", "--d", "3",
                                 "--param", "0.5:1:0.25", "--kappa", kappa])
     assert code == 0 and len(out.splitlines()) == 4
