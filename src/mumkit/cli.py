@@ -46,17 +46,19 @@ from .operator_basis import gell_mann_basis, grouped_gell_mann_basis, verify_ort
 from .states import (
     BipartiteState,
     bell_diagonal,
-    bell_diagonal_ppt,
+    bell_diagonal_states,
     isotropic,
+    isotropic_states,
     max_entangled,
     ppt_check,
+    ppt_minima,
     random_separable,
     verify_state,
 )
 
 MAX_GRID_POINTS = 10 ** 6
-# A Bell-diagonal sweep builds its states in blocks of about this many
-# complex entries (512 KiB), 52 points at d = 5.
+# A sweep builds its states in blocks of about this many complex
+# entries (512 KiB), 52 points at d = 5.
 _SWEEP_BLOCK_ENTRIES = 2 ** 15
 
 
@@ -78,7 +80,7 @@ class SweepSpec:
     stop: float
     step: float
     kappa: float | str = "optimal"
-    pairing: str = "conjugate"
+    pairing: str | None = None
     tol: float = VERDICT_TOL
 
     def __post_init__(self):
@@ -95,6 +97,13 @@ class SweepSpec:
             raise CliError(f"sweep start {self.start!r} exceeds stop {self.stop!r}")
         if self._points() > MAX_GRID_POINTS:
             raise CliError("sweep grid exceeds the limit of 1e6 points")
+        # a Bell-diagonal row is the bound c kappa (d+1) that only bell-choice guarantees
+        pairings = ("conjugate", "self") if self.family == "isotropic" else ("bell-choice",)
+        if self.pairing is None:
+            object.__setattr__(self, "pairing", pairings[0])
+        elif self.pairing not in pairings:
+            raise CliError(f"{self.family} sweeps support pairing {' or '.join(pairings)}, "
+                           f"got {self.pairing!r}")
 
     def _points(self) -> float:
         """The grid's point count, inf when the span over the step overflows."""
@@ -141,44 +150,40 @@ def emit_figure_data(spec: SweepSpec) -> str:
     """CSV text for a parameter sweep, one row per grid point.
 
     Columns: family,d,kappa,param,value,bound,verdict,ppt_min_eig.  For
-    isotropic sweeps the value is J under the requested pairing; for
-    Bell-diagonal sweeps it is the guaranteed lower bound c kappa (d+1)
-    delivered by the tuned pairing.
+    isotropic sweeps the value is J under the sweep's pairing; for
+    Bell-diagonal sweeps it is the lower bound c kappa (d+1) that the
+    bell-choice pairing guarantees.
     """
     d = spec.d
     kappa = spec.resolve_kappa()
     bound = 1.0 + kappa
     rows = ["family,d,kappa,param,value,bound,verdict,ppt_min_eig"]
+    grid = spec.grid()
     if spec.family == "isotropic":
-        if spec.pairing not in ("self", "conjugate"):
-            raise CliError("isotropic sweeps support pairings self and conjugate")
         pset = _mums_for(d, kappa=kappa)
         qset = _pair_for(pset, spec.pairing)
-        for alpha in spec.grid():
-            if not (0.0 <= alpha <= 1.0 + 1e-12):
-                raise CliError(f"isotropic parameter must lie in [0, 1], got {alpha!r}")
-            state = isotropic(d, min(alpha, 1.0))
-            value = j_value(state, pset, qset)
-            ppt = ppt_check(state).min_eigenvalue
-            rows.append(_row(spec.family, d, kappa, alpha, value, bound, spec.tol, ppt))
-    else:
-        if spec.start < 1.0 / d ** 2 - 1e-12 or spec.stop > 1.0 + 1e-12:
-            raise CliError(
-                f"bell-diagonal parameter must lie in [1/d^2, 1] = [{1.0 / d ** 2!r}, 1]"
-            )
-        grid = spec.grid()
-        block = max(1, _SWEEP_BLOCK_ENTRIES // d ** 4)
-        for start in range(0, len(grid), block):
-            cs = grid[start:start + block]
-            c = np.array(cs)
-            # each grid is c at (0, 0) and an equal share of 1 - c elsewhere, normalized
-            p = np.empty((len(cs), d, d))
-            p[:] = ((1.0 - c) / (d * d - 1))[:, None, None]
-            p[:, 0, 0] = c
-            p /= p.reshape(len(cs), d * d).sum(axis=1)[:, None, None]
-            for c, ppt in zip(cs, bell_diagonal_ppt(d, p).tolist()):
-                value = c * kappa * (d + 1)
-                rows.append(_row(spec.family, d, kappa, c, value, bound, spec.tol, ppt))
+        bad = [alpha for alpha in grid if not (0.0 <= alpha <= 1.0 + 1e-12)]
+        if bad:
+            raise CliError(f"isotropic parameter must lie in [0, 1], got {bad[0]!r}")
+    elif spec.start < 1.0 / d ** 2 - 1e-12 or spec.stop > 1.0 + 1e-12:
+        raise CliError(f"bell-diagonal parameter must lie in [1/d^2, 1] = [{1.0 / d ** 2!r}, 1]")
+    block = max(1, _SWEEP_BLOCK_ENTRIES // d ** 4)
+    for start in range(0, len(grid), block):
+        params = grid[start:start + block]
+        x = np.array(params)
+        if spec.family == "isotropic":
+            rhos = isotropic_states(d, np.minimum(x, 1.0))
+            values = [j_value(BipartiteState(d, rho), pset, qset) for rho in rhos]
+        else:
+            # each grid is x at (0, 0) and an equal share of 1 - x elsewhere, normalized
+            p = np.empty((len(x), d, d))
+            p[:] = ((1.0 - x) / (d * d - 1))[:, None, None]
+            p[:, 0, 0] = x
+            p /= p.reshape(len(x), d * d).sum(axis=1)[:, None, None]
+            rhos = bell_diagonal_states(d, p)
+            values = [c * kappa * (d + 1) for c in params]
+        for param, value, ppt in zip(params, values, ppt_minima(d, rhos).tolist()):
+            rows.append(_row(spec.family, d, kappa, param, value, bound, spec.tol, ppt))
     return "\n".join(rows) + "\n"
 
 
@@ -259,8 +264,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--param", required=True, help="grid as start:stop:step")
     p.add_argument("--kappa", default="optimal")
-    p.add_argument("--pairing", choices=("self", "conjugate", "bell-choice"),
-                   default="conjugate")
+    p.add_argument("--pairing", choices=("self", "conjugate", "bell-choice"), default=None)
     add_output(p)
 
     p = sub.add_parser("simulate", help="finite-shot estimate of J")

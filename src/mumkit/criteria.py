@@ -208,7 +208,7 @@ def j_correlation_identity(
 
 
 def bell_detection_threshold(d: int, kappa: float) -> float:
-    """Largest Bell weight c that the criterion cannot flag: (1 + 1/kappa)/(d+1)."""
+    """Bell weight c where the lower bound c kappa (d+1) crosses 1 + kappa: (1 + 1/kappa)/(d+1)."""
     return (1.0 + 1.0 / kappa) / (d + 1)
 
 

@@ -109,6 +109,8 @@ def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     Raises :class:`PositivityError` (reporting the worst offender) if any
     element dips below -1e-12 in its spectrum.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     d = _verified(basis).d
     # in place: at d = 16 each temporary of this shape is 1 MiB
     rows = _measurement_directions(basis)

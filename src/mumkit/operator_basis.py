@@ -124,9 +124,7 @@ def measurement_layout(d: int) -> list[list[tuple]]:
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if d == 2:
-        families = [[("S", (0, 1))], [("A", (0, 1))]]
-    elif d % 2 == 0:
+    if d % 2 == 0:
         paths = []
         for r in range(d // 2):
             seq = _zigzag(r, d)

@@ -116,12 +116,21 @@ def max_entangled(d: int) -> BipartiteState:
     return _make_state(d, _phi_plus(d).copy())
 
 
+def isotropic_states(d: int, alphas) -> np.ndarray:
+    """alpha |Phi+><Phi+| + (1 - alpha) I / d^2 for each alpha, as a (K, d^2, d^2) stack.
+
+    The first alpha outside [0, 1] raises the message :func:`isotropic` gives.
+    """
+    a = np.asarray(alphas, dtype=float).reshape(-1, 1, 1)
+    for alpha in a.ravel().tolist():
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    return a * _phi_plus(d) + (1.0 - a) * np.eye(d * d, dtype=complex) / d ** 2
+
+
 def isotropic(d: int, alpha: float) -> BipartiteState:
     """alpha |Phi+><Phi+| + (1 - alpha) I / d^2."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    rho = alpha * _phi_plus(d) + (1.0 - alpha) * np.eye(d * d, dtype=complex) / d ** 2
-    return _make_state(d, rho)
+    return _make_state(d, isotropic_states(d, [alpha])[0])
 
 
 def _probability_grids(p: np.ndarray) -> np.ndarray:
@@ -145,16 +154,21 @@ def _probability_grids(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _bell_mixtures(d: int, p: np.ndarray) -> np.ndarray:
+def bell_diagonal_states(d: int, p) -> np.ndarray:
     """sum_{s,t} p[k,s,t] |Phi_st><Phi_st| for each grid of a (K, d, d) stack, as (K, d^2, d^2).
 
-    Each entry is the sum, from zero and in row-major order, of its
-    terms' weighted values, so every matrix gets exactly the sums that
-    adding the terms one by one gives.  A zero weight adds a signed zero
-    to an entry that is never -0.0, which leaves it unchanged.
+    The grids are checked in order as :func:`bell_diagonal` checks one,
+    and the first that fails raises the message it would.  Each entry is
+    the sum, from zero and in row-major order, of its terms' weighted
+    values, so every matrix gets exactly the sums that adding the terms
+    one by one gives.  A zero weight adds a signed zero to an entry that
+    is never -0.0, which leaves it unchanged.
     """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 3 or p.shape[1:] != (d, d):
+        raise ValueError(f"probability grids must be a K x {d} x {d} stack, got {p.shape}")
     k = len(p)
-    weights = p.reshape(k, d * d)
+    weights = _probability_grids(p).reshape(k, d * d)
     rho = np.zeros((k, d ** 4), dtype=complex)
     for idx, vals, pos in _bell_terms(d):
         rho[:, idx] = np.add.reduce(weights[:, pos, None] * vals, axis=1, initial=0j)
@@ -171,27 +185,19 @@ def _probability_grid(p, d: int) -> np.ndarray:
 
 def bell_diagonal(d: int, p) -> BipartiteState:
     """Mixture sum_{s,t} p[s,t] |Phi_st><Phi_st| of Weyl-displaced Bell states."""
-    return _make_state(d, _bell_mixtures(d, _probability_grid(p, d)[None])[0])
+    return _make_state(d, bell_diagonal_states(d, _probability_grid(p, d)[None])[0])
 
 
-def bell_diagonal_ppt(d: int, p) -> np.ndarray:
-    """Minimum partial-transpose eigenvalue of the Bell-diagonal state of each grid in p.
+def ppt_minima(d: int, rhos: np.ndarray) -> np.ndarray:
+    """Each state's minimum partial-transpose eigenvalue, as :func:`ppt_check` gives it.
 
-    ``p`` is a (K, d, d) stack of probability grids.  Each grid and each
-    state is checked as :func:`bell_diagonal` checks it, and the first
-    that fails raises the message it would; each value is the one
-    :func:`ppt_check` gives.  One stacked eigvalsh covers the K states
-    and their K partial transposes.  The grids are all checked before
-    the states, which keeps that order: a mixture of the orthogonal
-    Bell projectors with valid weights always passes the state checks.
+    ``rhos`` is a (K, d^2, d^2) stack of finite matrices.  Each is checked in order as a
+    factory checks its state, the first that fails raising the message it would, and one
+    stacked eigvalsh covers the K states and their K partial transposes.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 3 or p.shape[1:] != (d, d):
-        raise ValueError(f"probability grids must be a K x {d} x {d} stack, got {p.shape}")
-    rhos = _bell_mixtures(d, _probability_grids(p))
     min_eigs = _min_eigenvalues(np.concatenate([rhos, _partial_transposes(d, rhos)]))
-    _check_density_matrices(rhos, min_eigs[:len(p)])
-    return min_eigs[len(p):]
+    _check_density_matrices(rhos, min_eigs[:len(rhos)])
+    return min_eigs[len(rhos):]
 
 
 def random_pure(d: int, seed: int) -> np.ndarray:

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa
+from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropic, j_value
+from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
 
@@ -810,6 +811,53 @@ def test_bell_sweep_onset_decreases_with_kappa(tmp_path, capsys):
     assert onsets["optimal"] < onsets["0.4"]
 
 
+# sha256 of `sweep --family bell-diagonal --d 3 --param 0.2:1:0.1`, frozen
+# before the sweep's pairing was resolved by family
+BELL_SWEEP_D3_DIGEST = "36b5392454aab5e3b914485f93f52136f57ced775ac19b9967a69cb36a6cdaf9"
+
+
+@pytest.mark.parametrize("family, pairing, resolved", [
+    ("isotropic", None, "conjugate"),
+    ("isotropic", "conjugate", "conjugate"),
+    ("isotropic", "self", "self"),
+    ("isotropic", "bell-choice", None),
+    ("bell-diagonal", None, "bell-choice"),
+    ("bell-diagonal", "bell-choice", "bell-choice"),
+    ("bell-diagonal", "self", None),
+    ("bell-diagonal", "conjugate", None),
+])
+def test_sweep_pairing_is_resolved_per_family(tmp_path, capsys, family, pairing, resolved):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--family", family, "--d", "3", "--param", "0.2:1:0.1", "-o", str(out)]
+    code, stdout, err = run(capsys, argv + ([] if pairing is None else ["--pairing", pairing]))
+    if resolved is None:
+        _assert_refused(code, stdout, err)
+        assert f"got {pairing!r}" in err and not out.exists()
+        return
+    assert (code, err) == (0, "")
+    spec = SweepSpec(family=family, d=3, start=0.2, stop=1.0, step=0.1, pairing=pairing)
+    assert spec.pairing == resolved
+    assert out.read_text() == emit_figure_data(
+        SweepSpec(family=family, d=3, start=0.2, stop=1.0, step=0.1, pairing=resolved))
+    if family == "bell-diagonal":
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_SWEEP_D3_DIGEST
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["gen-mums", "--d", "3"],
+    ["detect", "--family", "isotropic", "--d", "3", "--alpha", "0.5"],
+    ["simulate", "--family", "isotropic", "--d", "3", "--alpha", "0.5", "--shots", "10",
+     "--seed", "1"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_t_is_refused_as_such(capsys, command, t):
+    # the message names t, not a PSD failure, and numpy warns nothing beside it
+    code, stdout, err = run(capsys, command + [f"--t={t}"])
+    _assert_refused(code, stdout, err)
+    assert err == f"error: t must be finite, got {float(t)!r}\n"
+
+
 def test_emit_figure_data_is_pure():
     spec = SweepSpec(family="isotropic", d=2, start=0.0, stop=0.2, step=0.1)
     assert emit_figure_data(spec) == emit_figure_data(spec)
@@ -934,19 +982,30 @@ def test_gen_with_non_finite_entry_exits_2_and_writes_nothing(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("block_points", [1, 7, None], ids=["1", "7", "default"])
-def test_bell_sweep_blocks_match_per_point_states(monkeypatch, block_points):
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+def test_sweep_blocks_match_per_point_states(monkeypatch, family, block_points):
     d = 3
-    spec = SweepSpec(family="bell-diagonal", d=d, start=0.12, stop=1.0, step=0.01, kappa=0.5)
+    start = 0.0 if family == "isotropic" else 0.12
+    spec = SweepSpec(family=family, d=d, start=start, stop=1.0, step=0.01, kappa=0.5)
     if block_points is not None:
         monkeypatch.setattr(cli, "_SWEEP_BLOCK_ENTRIES", block_points * d ** 4)
     rows = emit_figure_data(spec).splitlines()[1:]
     assert len(rows) == len(spec.grid())
-    for c, row in zip(spec.grid(), rows):
-        # the per-point sweep: one grid, one state and one partial transpose at a time
-        p = np.full((d, d), (1.0 - c) / (d * d - 1))
-        p[0, 0] = c
-        p /= p.sum()
-        assert row.split(",")[-1] == repr(ppt_check(bell_diagonal(d, p)).min_eigenvalue)
+    pset = build_mums(grouped_gell_mann_basis(d), t_from_kappa(d, 0.5))
+    qset = conjugate_mums(pset)
+    for param, row in zip(spec.grid(), rows):
+        # the per-point sweep: one state, its value and its partial transpose at a time
+        if family == "isotropic":
+            state = isotropic(d, min(param, 1.0))
+            value = j_value(state, pset, qset)
+        else:
+            p = np.full((d, d), (1.0 - param) / (d * d - 1))
+            p[0, 0] = param
+            state = bell_diagonal(d, p / p.sum())
+            value = param * 0.5 * (d + 1)
+        fields = row.split(",")
+        assert fields[4] == repr(value)
+        assert fields[-1] == repr(ppt_check(state).min_eigenvalue)
 
 
 @pytest.mark.parametrize("module", ["mumkit", "mumkit.cli"])

@@ -274,6 +274,8 @@ def test_measurement_layout_covers_every_element(d):
     apairs = [tuple(sorted(p)) for kind, p in tags if kind == "A"]
     assert sorted(apairs) == [(j, k) for j in range(d) for k in range(j + 1, d)]
     assert sorted(p for kind, p in tags if kind == "D") == list(range(1, d))
+    if d == 2:
+        assert families == [[("S", (0, 1))], [("A", (0, 1))], [("D", 1)]]
 
 
 @pytest.mark.parametrize("d", [3, 5, 6])

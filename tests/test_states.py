@@ -17,12 +17,13 @@ from mumkit import (
     weyl_operator,
 )
 from mumkit.states import (
-    _bell_mixtures,
     _check_density_matrices,
     _make_state,
     _min_eigenvalues,
     _phi_plus,
-    bell_diagonal_ppt,
+    bell_diagonal_states,
+    isotropic_states,
+    ppt_minima,
 )
 
 
@@ -61,6 +62,10 @@ def test_isotropic_alpha_range():
         isotropic(3, 1.2)
     with pytest.raises(ValueError, match="alpha"):
         isotropic(3, -0.1)
+    # a stack raises for its first bad alpha, with the one-point message
+    for alphas, first in (([0.5, 1.5, -0.5], 1.5), ([0.0, -0.5, 1.5], -0.5),
+                          ([1.0, np.nan], np.nan)):
+        assert _message(isotropic_states, 3, alphas) == _message(isotropic, 3, first)
 
 
 def test_isotropic_ppt_below_threshold():
@@ -293,12 +298,24 @@ def test_rho_is_one_validated_array():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
 def test_stacked_bell_states_match_per_point(d):
     grids = np.array(_bell_grids(d, 500 + d))
-    rhos = _bell_mixtures(d, grids)
+    rhos = bell_diagonal_states(d, grids)
     for p, rho in zip(grids, rhos):
         assert rho.tobytes() == bell_diagonal(d, p).rho.tobytes()
         assert rho.tobytes() == bell_diagonal_by_kron(d, p).tobytes()
     want = [ppt_check(bell_diagonal(d, p)).min_eigenvalue for p in grids]
-    assert bell_diagonal_ppt(d, grids).tobytes() == np.array(want).tobytes()
+    assert ppt_minima(d, rhos).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 9])
+def test_stacked_isotropic_states_match_per_point(d):
+    alphas = [0.0, 1e-300, 1.0 / (d + 1), 0.3, 0.731, 1.0]
+    rhos = isotropic_states(d, alphas)
+    for alpha, rho in zip(alphas, rhos):
+        # the one-point formula, written out
+        want = alpha * _phi_plus(d) + (1.0 - alpha) * np.eye(d * d, dtype=complex) / d ** 2
+        assert rho.tobytes() == want.tobytes() == isotropic(d, alpha).rho.tobytes()
+    want = [ppt_check(isotropic(d, alpha)).min_eigenvalue for alpha in alphas]
+    assert ppt_minima(d, rhos).tobytes() == np.array(want).tobytes()
 
 
 def test_stacked_eigenvalues_match_per_matrix():
@@ -313,7 +330,7 @@ def _message(call, *args):
     return str(err.value)
 
 
-def test_bell_diagonal_ppt_raises_for_the_first_bad_grid():
+def test_bell_diagonal_states_raises_for_the_first_bad_grid():
     good = np.full((2, 2), 0.25)
     sums_wrong = np.array([[0.5, 0.25], [0.0, 0.0]])
     negative = np.array([[1.1, -0.1], [0.0, 0.0]])
@@ -322,9 +339,9 @@ def test_bell_diagonal_ppt_raises_for_the_first_bad_grid():
                          ([good, good, negative, sums_wrong], negative),
                          ([infinite, negative], infinite)):
         want = _message(bell_diagonal, 2, first)
-        assert _message(bell_diagonal_ppt, 2, np.array(stack)) == want
+        assert _message(bell_diagonal_states, 2, np.array(stack)) == want
     with pytest.raises(ValueError, match="K x 2 x 2 stack"):
-        bell_diagonal_ppt(2, good)
+        bell_diagonal_states(2, good)
 
 
 def test_density_checks_raise_for_the_first_bad_matrix():
@@ -339,4 +356,5 @@ def test_density_checks_raise_for_the_first_bad_matrix():
         want = _message(_make_state, 2, first)
         rhos = np.array(stack)
         assert _message(_check_density_matrices, rhos, _min_eigenvalues(rhos)) == want
+        assert _message(ppt_minima, 2, rhos) == want
     _check_density_matrices(good[None], _min_eigenvalues(good[None]))
