@@ -86,6 +86,9 @@ FROZEN_ARTIFACTS = {
     # values and the Bell-diagonal sweep was built in blocks of points
     ("gen-mums", "--d", "10"):
         "6c3d63804478a8c305d9e4ae75f3250460e7e8fa117fc603b65afac19d0598e5",
+    # its 9900 pairs end the first 8192-pair block mid-matrix, as gen-mums --d 10's do
+    ("gen-basis", "--d", "10"):
+        "dcf271a32defde1eb60c6fb1e09bababef914a12898b4f95f7013b6bc8989040",
     ("gen-mums", "--kappa", "0.22", "--d", "5"):
         "b16584e74875be4082e78fc86516cb5d968ca2b88e543a665bd10b8f0fde1c20",
     ("gen-mums", "--t", "0.05", "--d", "4"):

@@ -19,6 +19,7 @@ from mumkit import (
     isotropic,
     mub_prime,
     mum_criterion,
+    mums_from_mubs,
     optimal_mums,
     random_separable,
 )
@@ -355,3 +356,40 @@ def test_dumps_keeps_signed_zeros_apart():
     text = ser.dumps(value)
     assert text == json.dumps(ser.basis_set_to_obj(value)) + "\n"
     assert "[0.0, -0.0]" in text and "[-0.0, 0.0]" in text
+
+
+# The whole text of three payloads no CLI path writes, frozen before the
+# encoder took the text around its matrices from the *_to_obj layout, so
+# that text is pinned apart from the views it is now shared with.
+FROZEN_TEXTS = {
+    "empty-basis-set": (
+        BasisSet(d=2, bases=np.zeros((0, 2, 2))),
+        '{"d": 2, "bases": []}\n'),
+    "mums-t-null": (
+        mums_from_mubs(mub_prime(2)),
+        '{"d": 2, "kappa": 1.0, "t": null, "elements": ['
+        '[{"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, '
+        '{"dim": 2, "entries": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}], '
+        '[{"dim": 2, "entries": [[0.4999999999999999, 0.0], [0.4999999999999999, 0.0], '
+        '[0.4999999999999999, 0.0], [0.4999999999999999, 0.0]]}, '
+        '{"dim": 2, "entries": [[0.4999999999999999, 0.0], [-0.4999999999999999, -0.0], '
+        '[-0.4999999999999999, 0.0], [0.4999999999999999, 0.0]]}], '
+        '[{"dim": 2, "entries": [[0.4999999999999999, 0.0], [0.0, -0.4999999999999999], '
+        '[0.0, 0.4999999999999999], [0.4999999999999999, 0.0]]}, '
+        '{"dim": 2, "entries": [[0.4999999999999999, 0.0], [0.0, 0.4999999999999999], '
+        '[0.0, -0.4999999999999999], [0.4999999999999999, 0.0]]}]]}\n'),
+    "state-negative-zeros": (
+        BipartiteState(d=2, rho=isotropic(2, 0.5).rho.conj()),
+        '{"d": 2, "rho": {"dim": 4, "entries": ['
+        '[0.37499999999999994, -0.0], [0.0, -0.0], [0.0, -0.0], [0.24999999999999994, -0.0], '
+        '[0.0, -0.0], [0.125, -0.0], [0.0, -0.0], [0.0, -0.0], '
+        '[0.0, -0.0], [0.0, -0.0], [0.125, -0.0], [0.0, -0.0], '
+        '[0.24999999999999994, -0.0], [0.0, -0.0], [0.0, -0.0], [0.37499999999999994, -0.0]'
+        ']}}\n'),
+}
+
+
+@pytest.mark.parametrize("value, text", list(FROZEN_TEXTS.values()), ids=list(FROZEN_TEXTS))
+def test_payload_text_is_frozen(value, text):
+    assert ser.dumps(value) == text
+    assert "".join(ser.iterencode(value)) == text
