@@ -346,25 +346,16 @@ def _write(pieces: Iterable[str], output: str | None) -> None:
     written.
     """
     pieces = iter(pieces)
-    first = next(pieces, "")
+    pieces = itertools.chain((next(pieces, ""),), pieces)
     if output is None:
-        sys.stdout.write(first)
-        for piece in pieces:
-            sys.stdout.write(piece)
+        sys.stdout.writelines(pieces)
         return
     fd = os.open(output, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        written = 0
-        for piece in itertools.chain((first,), pieces):
-            data = memoryview(piece.encode("utf-8"))
-            done = 0
-            while done < len(data):
-                done += os.write(fd, data[done:])
-            written += done
+    with open(fd, "wb") as fh:
+        for piece in pieces:
+            fh.write(piece.encode("utf-8"))
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, written)
-    finally:
-        os.close(fd)
+            fh.truncate()
 
 
 def _cmd_gen_basis(args) -> int:

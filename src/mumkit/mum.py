@@ -184,18 +184,17 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
     )
 
 
-def conjugate_mums(ms: MumSet) -> MumSet:
-    """Entrywise complex conjugate of every element; kappa is unchanged."""
+def _map_mums(ms: MumSet, f) -> MumSet:
+    """``ms`` with f applied to its element array and to its source basis's elements."""
     basis = ms.source_basis
     if basis is not None:
-        basis = OperatorBasis(d=basis.d, elements=basis.elements.conj())
-    return MumSet(
-        d=ms.d,
-        elements=ms.elements.conj(),
-        kappa=ms.kappa,
-        t=ms.t,
-        source_basis=basis,
-    )
+        basis = OperatorBasis(d=basis.d, elements=f(basis.elements))
+    return MumSet(d=ms.d, elements=f(ms.elements), kappa=ms.kappa, t=ms.t, source_basis=basis)
+
+
+def conjugate_mums(ms: MumSet) -> MumSet:
+    """Entrywise complex conjugate of every element; kappa is unchanged."""
+    return _map_mums(ms, np.conj)
 
 
 def rotate_mums(ms: MumSet, u: np.ndarray) -> MumSet:
@@ -206,13 +205,4 @@ def rotate_mums(ms: MumSet, u: np.ndarray) -> MumSet:
     if float(np.abs(u.conj().T @ u - np.eye(ms.d)).max()) > 1e-10:
         raise ValueError("rotation matrix is not unitary")
     uh = u.conj().T
-    basis = ms.source_basis
-    if basis is not None:
-        basis = OperatorBasis(d=basis.d, elements=u @ basis.elements @ uh)
-    return MumSet(
-        d=ms.d,
-        elements=u @ ms.elements @ uh,
-        kappa=ms.kappa,
-        t=ms.t,
-        source_basis=basis,
-    )
+    return _map_mums(ms, lambda a: u @ a @ uh)

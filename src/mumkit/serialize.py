@@ -6,16 +6,18 @@ loading reproduces every double exactly.  The loaders raise ValueError
 for a payload of the wrong shape or JSON type.
 
 :func:`dumps` and :func:`iterencode` take the value objects (operator
-basis, basis set, measurement set, state) directly and write their
-matrices from a table of distinct values, block by block; the
-``*_to_obj`` functions give the same payload as plain JSON objects.
+basis, basis set, measurement set, state) directly.  Each payload's
+layout is written once: the ``*_to_obj`` functions fill its matrix slots
+with :func:`matrix_to_obj`, and the encoder writes the text around the
+slots from the same layout and each matrix's entries, block by block,
+from a table of the block's distinct ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
@@ -87,11 +89,22 @@ def _field(obj: dict, key: str, what: str):
         raise ValueError(f"{what} is missing the key {key!r}") from None
 
 
+def _payload(value, matrix: Callable[[np.ndarray], object]):
+    """The JSON object of a value object, with each matrix ``a`` in it given by ``matrix(a)``."""
+    if isinstance(value, OperatorBasis):
+        return [{"n": int(n), "b": int(b), "matrix": matrix(el)}
+                for (n, b), el in zip(value.labels, value.elements)]
+    if isinstance(value, BasisSet):
+        return {"d": int(value.d), "bases": [matrix(b) for b in value.bases]}
+    if isinstance(value, MumSet):
+        return {"d": int(value.d), "kappa": float(value.kappa),
+                "t": None if value.t is None else float(value.t),
+                "elements": [[matrix(p) for p in row] for row in value.elements]}
+    return {"d": int(value.d), "rho": matrix(value.rho)}
+
+
 def operator_basis_to_obj(basis: OperatorBasis) -> list:
-    return [
-        {"n": int(n), "b": int(b), "matrix": matrix_to_obj(el)}
-        for (n, b), el in zip(basis.labels, basis.elements)
-    ]
+    return _payload(basis, matrix_to_obj)
 
 
 def operator_basis_from_obj(obj) -> OperatorBasis:
@@ -115,7 +128,7 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
 
 
 def basis_set_to_obj(bs: BasisSet) -> dict:
-    return {"d": int(bs.d), "bases": [matrix_to_obj(b) for b in bs.bases]}
+    return _payload(bs, matrix_to_obj)
 
 
 def basis_set_from_obj(obj) -> BasisSet:
@@ -127,12 +140,7 @@ def basis_set_from_obj(obj) -> BasisSet:
 
 
 def mums_to_obj(ms: MumSet) -> dict:
-    return {
-        "d": int(ms.d),
-        "kappa": float(ms.kappa),
-        "t": None if ms.t is None else float(ms.t),
-        "elements": [[matrix_to_obj(p) for p in row] for row in ms.elements],
-    }
+    return _payload(ms, matrix_to_obj)
 
 
 def mums_from_obj(obj) -> MumSet:
@@ -157,7 +165,7 @@ def mums_from_obj(obj) -> MumSet:
 
 
 def state_to_obj(state: BipartiteState) -> dict:
-    return {"d": int(state.d), "rho": matrix_to_obj(state.rho)}
+    return _payload(state, matrix_to_obj)
 
 
 def state_from_obj(obj) -> BipartiteState:
@@ -216,17 +224,12 @@ _BLOCK_PAIRS = 8192
 def _pair_texts(pairs: np.ndarray) -> list[str]:
     """The ``[re, im]`` text of each row of an (n, 2) float array, as json.dumps writes it.
 
-    Each distinct double is keyed by its bits, so 0.0 and -0.0 stay
-    apart, and formatted once by ``repr``; each distinct pair is built
-    once from those.
+    Each distinct pair is keyed by its 16 bytes, so 0.0 and -0.0 stay
+    apart, and formatted once by ``repr``.
     """
-    keys, codes = np.unique(pairs.view(np.uint64).ravel(), return_inverse=True)
-    texts = [repr(x) for x in keys.view(np.float64).tolist()]
-    m = len(keys)
-    pair_keys, which = np.unique(codes[0::2] * m + codes[1::2], return_inverse=True)
-    table = np.array([f"[{texts[k // m]}, {texts[k % m]}]" for k in pair_keys.tolist()],
-                     dtype=object)
-    return table[which].tolist()
+    keys, which = np.unique(pairs.view("V16").ravel(), return_inverse=True)
+    texts = [f"[{re!r}, {im!r}]" for re, im in keys.view(np.float64).reshape(-1, 2).tolist()]
+    return np.array(texts, dtype=object)[which].tolist()
 
 
 def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
@@ -261,42 +264,13 @@ def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
         yield "".join(pieces)
 
 
-def _joints(head: str, opens: list[str], close: str, seps: list[str], tail: str) -> list[str]:
-    """Text around m matrices: head, opens[j] before each, seps between, close after each, tail."""
-    if not opens:
-        return [head + tail]
-    return ([head + opens[0]]
-            + [close + sep + op for sep, op in zip(seps, opens[1:])]
-            + [close + tail])
-
-
-def _matrix_open(dim: int) -> str:
-    return f'{{"dim": {dim}, "entries": ['
-
-
-def _matrix_payload(value) -> tuple[np.ndarray, list[str]] | None:
-    """The matrix stack of a value object and the text around its matrices, else None."""
-    if isinstance(value, OperatorBasis):
-        d = int(value.d)
-        opens = [f'{{"n": {n}, "b": {b}, "matrix": {_matrix_open(d)}' for n, b in value.labels]
-        return value.elements, _joints("[", opens, "]}}", [", "] * len(opens), "]\n")
-    if isinstance(value, BasisSet):
-        m, d = value.m, int(value.d)
-        return value.bases, _joints(f'{{"d": {d}, "bases": [', [_matrix_open(d)] * m, "]}",
-                                    [", "] * m, "]}\n")
-    if isinstance(value, MumSet):
-        d = int(value.d)
-        head = json.dumps({"d": d, "kappa": float(value.kappa),
-                           "t": None if value.t is None else float(value.t)}, allow_nan=False)
-        # d + 1 measurements of d elements each
-        seps = [", " if (j + 1) % d else "], [" for j in range((d + 1) * d - 1)]
-        return (value.elements.reshape(-1, d, d),
-                _joints(head[:-1] + ', "elements": [[', [_matrix_open(d)] * ((d + 1) * d), "]}",
-                        seps, "]]}\n"))
-    if isinstance(value, BipartiteState):
-        return value.rho[None], _joints(f'{{"d": {int(value.d)}, "rho": ',
-                                        [_matrix_open(len(value.rho))], "]}", [], "}\n")
-    return None
+# The one array of each value object; its matrices, in row-major order of
+# the leading axes, are the payload's matrices in document order.
+_ARRAYS = {OperatorBasis: "elements", BasisSet: "bases", MumSet: "elements",
+           BipartiteState: "rho"}
+# Stands for each matrix in the layout; json.dumps writes it as "\u0000",
+# which no other string of a payload holds.
+_HOLE = "\0"
 
 
 def iterencode(value) -> Iterator[str]:
@@ -305,11 +279,18 @@ def iterencode(value) -> Iterator[str]:
     Every check runs before the first piece: a NaN or infinite float
     raises ValueError, never a bare token.
     """
-    payload = _matrix_payload(value)
-    if payload is None:
+    field = _ARRAYS.get(type(value))
+    if field is None:
         yield json.dumps(value, allow_nan=False) + "\n"
-    else:
-        yield from _stack_text(*payload)
+        return
+    array = getattr(value, field)
+    n = array.shape[-1]
+    # each hole becomes {"dim": n, "entries": [ ... ]}, its entries cut out at a bare hole
+    joints = (json.dumps(_payload(value, lambda a: _HOLE), allow_nan=False)
+              .replace(json.dumps(_HOLE), f'{{"dim": {n}, "entries": [{_HOLE}]}}')
+              .split(_HOLE))
+    joints[-1] += "\n"
+    yield from _stack_text(array.reshape(-1, n, n), joints)
 
 
 def dumps(value) -> str:
