@@ -149,6 +149,17 @@ FROZEN_VERIFY = {
         "252de26afb9a4d595edb54aea42946c216f8cf06bb9e3b556169247e684bd2bc",
     ("gen-state", "--family", "isotropic", "--d", "6", "--alpha", "0.3"):
         "e027b061ee0a702234eaad5580c1167efc34896848e3e3c4ebb54210b93cf78e",
+    # frozen before the defect kernel took each value's families as one
+    # array: the benchmark verifies the d = 10 payloads, and d = 2 has
+    # one-element basis families
+    ("gen-basis", "--d", "10"):
+        "975a0734d56e3f7a007acc3edc000c69a1d05a05264f0eb11c96c1f070002426",
+    ("gen-mums", "--d", "10"):
+        "18b59bac8aaddcbdbef9680a36a2a4e823bde4ae6c2c44d955f491df26ebf86d",
+    ("gen-basis", "--d", "2"):
+        "1195c467b7e7b3e03cfc531ecc04080bbb24bc20757293f2b4198813a851f534",
+    ("gen-mums", "--d", "2"):
+        "4e96892317b25bf4eb029e52f45ee6e687fc836556dffae7dbf5db2deacb2af7",
 }
 FROZEN_DETECT = {
     ("detect", "--criterion", "mum", "--family", "isotropic", "--d", "6", "--alpha", "0.2"):

@@ -7,18 +7,24 @@ import pytest
 
 from mumkit import (
     MumSet,
+    OperatorBasis,
     PositivityError,
     build_mums,
+    conjugate_mums,
     gell_mann_basis,
     grouped_gell_mann_basis,
+    kappa_from_t,
     max_valid_t,
     mub_prime,
     mums_from_mubs,
+    optimal_kappa,
+    t_from_kappa,
     trace_product,
     verify_mub,
     verify_mums,
     verify_orthonormal_basis,
 )
+from mumkit.mum import _measurement_directions
 from mumkit.reporting import min_eigenvalues, worst
 
 
@@ -194,3 +200,107 @@ def test_min_eigenvalues_guards_non_finite_matrices():
     stack = np.array([np.diag([2.0, -1.0]), np.diag([np.nan, 1.0]), np.eye(2)], dtype=complex)
     assert list(min_eigenvalues(stack)) == [-1.0, -math.inf, 1.0]
     assert list(min_eigenvalues(stack[1:2])) == [-math.inf]
+
+
+# The list-of-chunks kernel and the two verifier bodies as they stood before
+# the kernel took one (F, k, n, n) array; the verifiers must match them bit for
+# bit, NaN, inf and negative zero included.
+_OLD_CHUNK_ENTRIES = 4096
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _old_operator_defects(families, cross_target=0.0, eigenvalues=False):
+    right = [np.asarray(fam).transpose(0, 2, 1).reshape(len(fam), -1) for fam in families]
+    herm = cross = 0.0
+    traces, same, lams = [], [], []
+    for i, fam in enumerate(families):
+        f = np.asarray(fam)
+        k = len(f)
+        herm = max(herm, worst(f - f.conj().transpose(0, 2, 1)))
+        traces.append(np.trace(f, axis1=1, axis2=2))
+        if eigenvalues:
+            lams.append(min_eigenvalues(f))
+        left = f.reshape(k, -1)
+        same.append(left @ right[i].T)
+        for r in right[i + 1:]:
+            cross = max(cross, worst(left @ r.T - cross_target))
+    return herm, np.concatenate(traces), same, cross, np.concatenate(lams) if eigenvalues else None
+
+
+def _old_verify_basis(basis):
+    els = basis.elements
+    size = max(1, _OLD_CHUNK_ENTRIES // els[0].size)
+    herm, traces, same, cross, _ = _old_operator_defects(
+        [els[i:i + size] for i in range(0, len(els), size)])
+    gram = max([cross] + [worst(g - np.eye(len(g))) for g in same])
+    return {"hermiticity": herm, "trace": worst(traces), "orthonormality": gram}, {}
+
+
+def _old_verify_mums(ms):
+    d = ms.d
+    eye = np.eye(d)
+    herm, traces, same, cross, lams = _old_operator_defects(
+        ms.elements, cross_target=1.0 / d, eigenvalues=True)
+    purities = np.concatenate([np.diagonal(g).real for g in same])
+    kappa_inferred = float(np.mean(purities))
+    stored = [kappa_inferred - ms.kappa]
+    if ms.t is not None:
+        stored.append(kappa_from_t(d, ms.t) - ms.kappa)
+    off_target = (1.0 - kappa_inferred) / (d - 1)
+    upper = np.triu_indices(d, 1)
+    return {
+        "hermiticity": herm,
+        "psd": worst(np.minimum(lams, 0.0)),
+        "trace_one": worst(traces - 1.0),
+        "completeness": worst(ms.elements.sum(axis=1) - eye),
+        "cross_basis": cross,
+        "purity_spread": worst(purities - kappa_inferred),
+        "off_diagonal": max(worst(g[upper] - off_target) for g in same),
+        "stored_kappa": worst(stored),
+    }, {"kappa_inferred": kappa_inferred}
+
+
+def _damaged(els, index):
+    """Copies of a stack with one NaN entry, one non-Hermitian element and one scaled element."""
+    out = []
+    for damage in ("nan", "non-hermitian", "scaled"):
+        a = els.copy()
+        el = a[index]
+        if damage == "nan":
+            el[0, -1] = np.nan
+        elif damage == "non-hermitian":
+            el[-1, 0] += 1e-3
+        else:
+            el *= 1.5
+        out.append((damage, a))
+    return out
+
+
+def _bits(mapping):
+    return list(mapping), np.array(list(mapping.values()), dtype=float).tobytes()
+
+
+def _assert_same_report(report, expected):
+    defects, details = expected
+    assert _bits(report.defects) == _bits(defects)
+    assert _bits(report.details) == _bits(details)
+
+
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", list(range(2, 17)))
+def test_verifiers_match_the_chunked_kernel_bit_for_bit(make, d):
+    basis = make(d)
+    bases = [("basis", basis.elements), ("conjugate", basis.elements.conj())]
+    bases += _damaged(basis.elements, len(basis.elements) // 2)
+    for name, els in bases:
+        case = OperatorBasis(d=d, elements=els)
+        _assert_same_report(verify_orthonormal_basis(case), _old_verify_basis(case))
+    for t in (t_from_kappa(d, optimal_kappa(d)), max_valid_t(basis)):
+        # built without the PSD check: plain layouts are indefinite at the optimal t
+        ms = MumSet(d=d, elements=np.eye(d) / d + t * _measurement_directions(basis),
+                    kappa=kappa_from_t(d, t), t=t, source_basis=basis)
+        for case in (ms, conjugate_mums(ms)):
+            sets = [("set", case.elements)] + _damaged(case.elements, (d // 2, d - 1))
+            for name, els in sets:
+                damaged = MumSet(d=d, elements=els, kappa=case.kappa, t=case.t)
+                _assert_same_report(verify_mums(damaged), _old_verify_mums(damaged))
