@@ -251,8 +251,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("detect", help="evaluate a separability criterion")
     _add_state_args(p)
     p.add_argument("--criterion", choices=("mum", "mub", "correlation"), default="mum")
-    p.add_argument("--pairing", choices=("self", "conjugate", "bell-choice"),
-                   default="conjugate")
+    p.add_argument("--pairing", choices=("self", "conjugate", "bell-choice"), default=None)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--kappa", type=float, default=None)
     g.add_argument("--t", type=float, default=None)
@@ -400,6 +399,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    if args.criterion != "mum":
+        # only the mum criterion builds a measurement pair
+        for flag, unset in (("--pairing", args.pairing is None), ("--kappa", args.kappa is None),
+                            ("--t", args.t is None), ("--max-t", not args.max_t)):
+            if not unset:
+                raise CliError(f"--criterion {args.criterion} does not take {flag}")
     state, p_grid = _state_from_args(args)
     d = state.d
     if args.criterion == "mub":
@@ -413,7 +418,7 @@ def _cmd_detect(args) -> int:
         )
     else:
         pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
-        qset = _pair_for(pset, args.pairing, p_grid)
+        qset = _pair_for(pset, args.pairing or "conjugate", p_grid)
         report = mum_criterion(state, pset, qset, tol=args.tol)
     _write(serialize.iterencode(serialize.report_to_obj(report)), args.output)
     return 0

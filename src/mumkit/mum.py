@@ -159,8 +159,8 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
     """
     d = ms.d
     eye = np.eye(d)
-    k = operator_defects(ms.elements, cross_target=1.0 / d, eigenvalues=True)
-    purities = np.concatenate([np.diagonal(g).real for g in k.same])
+    k = operator_defects(ms.elements, cross_target=1.0 / d)
+    purities = np.diagonal(k.same, axis1=1, axis2=2).real.ravel()
     kappa_inferred = float(np.mean(purities))
     stored = [kappa_inferred - ms.kappa]
     if ms.t is not None:
@@ -172,12 +172,12 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
         tol=tol,
         defects={
             "hermiticity": k.hermiticity,
-            "psd": worst(np.minimum(k.min_eigenvalues, 0.0)),
+            "psd": max(worst(np.minimum(min_eigenvalues(f), 0.0)) for f in ms.elements),
             "trace_one": worst(k.traces - 1.0),
             "completeness": worst(ms.elements.sum(axis=1) - eye),
             "cross_basis": k.cross,
             "purity_spread": worst(purities - kappa_inferred),
-            "off_diagonal": max(worst(g[upper] - off_target) for g in k.same),
+            "off_diagonal": worst(k.same[:, upper[0], upper[1]] - off_target),
             "stored_kappa": worst(stored),
         },
         details={"kappa_inferred": kappa_inferred},

@@ -29,11 +29,6 @@ import numpy as np
 from .linalg import as_stack
 from .reporting import VerificationReport, operator_defects, worst
 
-# A basis is checked in chunks of at most this many matrix entries, the
-# size of one measurement family at d = 16, so the kernel's temporaries
-# stay that small at any d.
-_CHUNK_ENTRIES = 4096
-
 
 @dataclass(frozen=True)
 class OperatorBasis:
@@ -164,10 +159,8 @@ def weyl_operator(d: int, s: int, t: int) -> np.ndarray:
 
 def verify_orthonormal_basis(basis: OperatorBasis, tol: float = 1e-10) -> VerificationReport:
     """Check Hermiticity, tracelessness and trace orthonormality of a basis."""
-    els = basis.elements
-    size = max(1, _CHUNK_ENTRIES // els[0].size)
-    k = operator_defects([els[i:i + size] for i in range(0, len(els), size)])
-    gram = max([k.cross] + [worst(g - np.eye(len(g))) for g in k.same])
+    k = operator_defects(basis.families)
+    gram = max(k.cross, worst(k.same - np.eye(basis.d - 1)))
     return VerificationReport(
         kind="operator-basis",
         tol=tol,

@@ -1,10 +1,12 @@
 """Shared verification report container and the defect kernel behind it.
 
 Every verifier reduces its checks to worst-case defects through the
-helpers here.  They work on stacks of matrices, one measurement family
-(or one bounded chunk of a basis) at a time, and they fail closed: a
-non-finite entry anywhere becomes an ``inf`` defect, never a dropped
-NaN and never a LAPACK error.
+helpers here, and they fail closed: a non-finite entry anywhere becomes
+an ``inf`` defect, never a dropped NaN and never a LAPACK error.  The
+defect kernel takes a value's families as they are stored, one
+(F, k, n, n) array (an operator basis as d+1 families of d-1 elements,
+a measurement set as d+1 families of d), and checks it one family at a
+time.
 """
 
 from __future__ import annotations
@@ -42,59 +44,46 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorDefects:
-    """What :func:`operator_defects` measured on a sequence of operator families."""
+    """What :func:`operator_defects` measured on an (F, k, n, n) array of operator families."""
 
     hermiticity: float
     traces: np.ndarray
-    same: tuple[np.ndarray, ...]
+    same: np.ndarray
     cross: float
-    min_eigenvalues: np.ndarray | None
 
 
 # a non-finite entry already yields an inf defect; numpy's warnings about it
 # would only add noise on stderr
 @np.errstate(invalid="ignore", over="ignore")
-def operator_defects(families, cross_target: float = 0.0,
-                     eigenvalues: bool = False) -> OperatorDefects:
-    """Batched checks of operator families, each a sequence of n x n matrices.
+def operator_defects(families: np.ndarray, cross_target: float = 0.0) -> OperatorDefects:
+    """Batched checks of F families of k operators on C^n, one (F, k, n, n) array.
 
     * ``hermiticity``: worst |A - A^H| entry over all elements;
-    * ``traces``: Tr A of every element, families in order;
-    * ``same[i]``: the Gram block Tr(A_u A_v) of family i with itself;
+    * ``traces``: the (F, k) array of Tr A;
+    * ``same``: the (F, k, k) Gram blocks Tr(A_u A_v) of each family with itself;
     * ``cross``: worst |Tr(A_u B_v) - cross_target| over pairs from
-      distinct families;
-    * ``min_eigenvalues`` (if requested): per element, families in order,
-      -inf for an element with a non-finite entry.
+      distinct families.
 
     Each Gram block is one matrix product of two flattened family stacks,
     Tr(A_u B_v) = vec(A_u) . vec(B_v^T), taken for every pair of families
-    i <= j.  Only the flattened transposes are held for the whole set,
-    one array per family; everything else is one family at a time.
-    Per-pair products keep the temporaries, BLAS packing buffers
-    included, the size of one family, which keeps a CLI run's peak
-    memory where the per-element loops had it.
+    i <= j: one stacked ``matmul`` per family i makes one BLAS call per
+    pair, so each block has the bits of its own product (one product over
+    a whole row or stack would not).  Only the flattened transposes are
+    held for the whole array; everything else is one family at a time,
+    which keeps the temporaries, BLAS packing buffers included, the size
+    of one family.
     """
-    right = [np.asarray(fam).transpose(0, 2, 1).reshape(len(fam), -1) for fam in families]
+    f, k = families.shape[:2]
+    right = families.transpose(0, 1, 3, 2).reshape(f, k, -1)
+    same = np.empty((f, k, k), dtype=families.dtype)
     herm = cross = 0.0
-    traces, same, lams = [], [], []
     for i, fam in enumerate(families):
-        f = np.asarray(fam)
-        k = len(f)
-        herm = max(herm, worst(f - f.conj().transpose(0, 2, 1)))
-        traces.append(np.trace(f, axis1=1, axis2=2))
-        if eigenvalues:
-            lams.append(min_eigenvalues(f))
-        left = f.reshape(k, -1)
-        same.append(left @ right[i].T)
-        for r in right[i + 1:]:
-            cross = max(cross, worst(left @ r.T - cross_target))
-    return OperatorDefects(
-        hermiticity=herm,
-        traces=np.concatenate(traces),
-        same=tuple(same),
-        cross=cross,
-        min_eigenvalues=np.concatenate(lams) if eigenvalues else None,
-    )
+        herm = max(herm, worst(fam - fam.conj().transpose(0, 2, 1)))
+        grams = fam.reshape(k, -1) @ right[i:].transpose(0, 2, 1)
+        same[i] = grams[0]
+        cross = max(cross, worst(grams[1:] - cross_target))
+    return OperatorDefects(hermiticity=herm, traces=np.trace(families, axis1=2, axis2=3),
+                           same=same, cross=cross)
 
 
 @dataclass(frozen=True)

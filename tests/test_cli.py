@@ -379,6 +379,74 @@ def test_detect_bell_choice_needs_grid(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("criterion", ["mub", "correlation"])
+@pytest.mark.parametrize("flags", [["--pairing", "self"], ["--pairing", "conjugate"],
+                                   ["--kappa", "0.9"], ["--t", "0.05"], ["--max-t"]],
+                         ids=" ".join)
+def test_detect_refuses_flags_its_criterion_ignores(tmp_path, capsys, criterion, flags):
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, ["detect", "--family", "isotropic", "--d", "3",
+                                     "--alpha", "0.5", "--criterion", criterion, *flags,
+                                     "-o", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: --criterion {criterion} does not take {flags[0]}\n"
+
+
+def _refusal(capsys, argv, code, prefix):
+    # exit `code`, nothing on stdout, one stderr line that starts with `prefix`
+    got, stdout, err = run(capsys, argv)
+    assert got == code and stdout == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv", [["detect"], ["simulate", "--shots", "10", "--seed", "1"],
+                                  ["oracle-ppt"]], ids=lambda a: a[0])
+def test_state_file_failing_verification_exits_3(tmp_path, capsys, argv):
+    state = tmp_path / "state.json"
+    assert run(capsys, ["gen-state", "--family", "max-entangled", "--d", "2",
+                        "-o", str(state)])[0] == 0
+    payload = json.loads(state.read_text())
+    payload["rho"]["entries"] = [[2 * re, 2 * im] for re, im in payload["rho"]["entries"]]
+    state.write_text(json.dumps(payload))
+    _refusal(capsys, argv + ["--state", str(state)], 3, "error: verification failed:")
+
+
+@pytest.mark.parametrize("param, bad", [("0:1.5:0.5", "1.5"), ("-0.5:1:0.5", "-0.5")])
+def test_sweep_names_the_first_alpha_outside_0_1(capsys, param, bad):
+    err = _refusal(capsys, ["sweep", "--family", "isotropic", "--d", "2",
+                            f"--param={param}"], 2, "error: isotropic parameter")
+    assert err.endswith(f"got {bad}\n")
+
+
+def test_bell_sweep_refuses_a_weight_below_one_over_d_squared(capsys):
+    err = _refusal(capsys, ["sweep", "--family", "bell-diagonal", "--d", "3",
+                            "--param", "0.05:1:0.05"], 2, "error: bell-diagonal")
+    assert "[1/d^2, 1]" in err
+
+
+def test_p_grid_of_the_wrong_size_names_the_file(tmp_path, capsys):
+    grid = tmp_path / "p.json"
+    grid.write_text(json.dumps([[0.25, 0.25], [0.25, 0.25]]))
+    err = _refusal(capsys, ["detect", "--family", "bell-diagonal", "--d", "3",
+                            "--p", str(grid)], 2, "error: probability grid")
+    assert str(grid) in err and "3 x 3" in err
+
+
+def test_sweep_param_needs_three_parts(capsys):
+    _refusal(capsys, ["sweep", "--family", "isotropic", "--d", "2", "--param", "0:1"],
+             2, "error: --param must be start:stop:step")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "isotropic", "--d", "3"], "isotropic states need --alpha"),
+    (["--family", "bell-diagonal", "--d", "3"], "bell-diagonal states need --p"),
+    (["--d", "3"], "need either --state FILE or --family with --d"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_detect_needs_a_whole_state(capsys, argv, message):
+    _refusal(capsys, ["detect"] + argv, 2, f"error: {message}")
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, err = run(capsys, ["detect", "--bogus"])
     assert code == 2

@@ -25,7 +25,7 @@ from mumkit import (
     verify_orthonormal_basis,
 )
 from mumkit.mum import _measurement_directions
-from mumkit.reporting import min_eigenvalues, worst
+from mumkit.reporting import min_eigenvalues, operator_defects, worst
 
 
 def _loop_verify_mums(ms):
@@ -133,7 +133,6 @@ def test_verify_mums_matches_loops(name):
 @pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
 @pytest.mark.parametrize("d", [2, 3, 6, 17])
 def test_verify_basis_matches_loops(make, d):
-    # d = 17 spreads the basis over several chunks, the last one partial
     basis = make(d)
     # the last element replaced by a copy of the first
     els = basis.elements.copy()
@@ -186,6 +185,15 @@ def test_positivity_error_names_worst_offender(make, d):
     ev, n, b = _loop_worst_offender(rows)
     assert (err.value.n, err.value.b) == (n, b)
     assert err.value.min_eigenvalue == ev
+
+
+def test_operator_defects_reads_one_array_of_families():
+    basis = grouped_gell_mann_basis(4)
+    k = operator_defects(basis.families)
+    assert k.same.shape == (5, 3, 3) and k.traces.shape == (5, 3)
+    gram = np.einsum("fuij,fvji->fuv", basis.families, basis.families)
+    assert np.abs(k.same - gram).max() < 1e-15 and np.abs(gram - np.eye(3)).max() < 1e-15
+    assert k.hermiticity == 0.0 and worst(k.traces) < 1e-15 and k.cross < 1e-15
 
 
 def test_worst_is_fail_closed():
