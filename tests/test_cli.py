@@ -109,6 +109,13 @@ FROZEN_ARTIFACTS = {
         "10e59b057dfc2d4d15069ed934aba49148dd5503e8d086a187c9d0f319ea5845",
     ("sweep", "--family", "isotropic", "--d", "4", "--pairing", "self", "--param", "0:1:0.02"):
         "b1ecc7ccea29e588944c896d9c7e95e8e447e5fae23b60501f49927523b7fe25",
+    # frozen before shots were counted from sorted draws and each
+    # random-separable term's product vector was built once
+    ("simulate", "--family", "isotropic", "--d", "3", "--alpha", "0.9", "--shots", "3500",
+     "--seed", "1"):
+        "a61d3846fb1cd657ecd996fb22717a687a5ac85cee1c6520d02587fcf5af3664",
+    ("gen-state", "--family", "random-separable", "--d", "6", "--seed", "7"):
+        "1a3caabe09cee0e5e4f72d710e8a814ce1cc199504169a1e74642ace76f530ad",
 }
 BELL_GRID_D3 = [[0.4, 0.2, 0.1], [0.1, 0.05, 0.05], [0.05, 0.025, 0.025]]
 

@@ -487,6 +487,49 @@ def test_simulate_counts_tracks_exact_value(seed):
     assert abs(est.j_estimate - exact) <= 5 * est.std_error
 
 
+def _bincount_shots(state, pset, qset, shots, seed):
+    """Counts, estimate and standard error of simulate_counts, binned one draw at a time."""
+    dists = setting_distributions(state, pset, qset)
+    d = state.d
+    draws = Xoshiro256(seed).uniforms(shots * len(dists))
+    counts, j_estimate, var = [], 0.0, 0.0
+    for k, q in enumerate(dists):
+        probs = np.clip(q.ravel(), 0.0, None)
+        cdf = np.cumsum(probs / probs.sum())
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, draws[k * shots:(k + 1) * shots], side="right")
+        grid = np.bincount(idx, minlength=d * d).reshape(d, d)
+        counts.append(grid)
+        p_hat = float(np.trace(grid)) / shots
+        j_estimate += p_hat
+        var += p_hat * (1.0 - p_hat) / shots
+    return counts, j_estimate, float(np.sqrt(var))
+
+
+def _shot_cases():
+    for d in (2, 3, 6):
+        ms = optimal_mums(d)
+        yield f"isotropic-{d}", isotropic(d, 0.9), ms, conjugate_mums(ms)
+        yield f"random-density-{d}", random_density(d, 40 + d), ms, ms
+    for d in (2, 3):
+        # perfect correlations: every off-diagonal outcome has probability 0
+        ms = mums_from_mubs(mub_prime(d))
+        yield f"mub-max-entangled-{d}", max_entangled(d), ms, conjugate_mums(ms)
+
+
+@pytest.mark.parametrize("shots", [1, 7, 2000, 3500, 100000])
+def test_simulate_counts_matches_bincount_bitwise(shots):
+    for name, state, pset, qset in _shot_cases():
+        for seed in (1, 8):
+            est = simulate_counts(state, pset, qset, shots, seed)
+            counts, j_estimate, std_error = _bincount_shots(state, pset, qset, shots, seed)
+            assert len(est.counts) == len(counts)
+            for got, want in zip(est.counts, counts):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (name, seed)
+            assert (est.j_estimate, est.std_error) == (j_estimate, std_error), (name, seed)
+
+
 def test_simulate_counts_needs_shots():
     ms = optimal_mums(2)
     with pytest.raises(ValueError, match="shot"):

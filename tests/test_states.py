@@ -230,6 +230,29 @@ def test_random_separable_invariants(seed):
     assert report.passed, report.summary()
 
 
+def _kron_random_separable(d, k, seed):
+    """The mixture of random_separable built term by term from np.kron, as first written."""
+    gen = Xoshiro256(seed)
+    w = gen.exponentials(k)
+    w /= w.sum()
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(k):
+        a = gen.complex_normals(d)
+        a /= np.linalg.norm(a)
+        b = gen.complex_normals(d)
+        b /= np.linalg.norm(b)
+        rho += w[i] * np.outer(np.kron(a, b), np.kron(a, b).conj())
+    return rho
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10])
+def test_random_separable_matches_kron_mixture_bitwise(d):
+    for k in (1, 2, 8, 13):
+        for seed in range(150):
+            rho = random_separable(d, k, seed).rho
+            assert rho.tobytes() == _kron_random_separable(d, k, seed).tobytes(), (k, seed)
+
+
 def test_random_separable_needs_terms():
     with pytest.raises(ValueError, match="k=0"):
         random_separable(3, 0, 2)
