@@ -23,6 +23,7 @@ from . import serialize
 from .criteria import (
     DetectionReport,
     VERDICT_TOL,
+    _j_evaluator,
     _verdict,
     bell_choice,
     correlation_bound,
@@ -161,7 +162,7 @@ def emit_figure_data(spec: SweepSpec) -> str:
     grid = spec.grid()
     if spec.family == "isotropic":
         pset = _mums_for(d, kappa=kappa)
-        qset = _pair_for(pset, spec.pairing)
+        j_of = _j_evaluator(pset, _pair_for(pset, spec.pairing))
         bad = [alpha for alpha in grid if not (0.0 <= alpha <= 1.0 + 1e-12)]
         if bad:
             raise CliError(f"isotropic parameter must lie in [0, 1], got {bad[0]!r}")
@@ -173,7 +174,7 @@ def emit_figure_data(spec: SweepSpec) -> str:
         x = np.array(params)
         if spec.family == "isotropic":
             rhos = isotropic_states(d, np.minimum(x, 1.0))
-            values = [j_value(BipartiteState(d, rho), pset, qset) for rho in rhos]
+            values = [j_of(BipartiteState(d, rho)) for rho in rhos]
         else:
             # each grid is x at (0, 0) and an equal share of 1 - x elsewhere, normalized
             p = np.empty((len(x), d, d))
@@ -241,8 +242,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", default=None, help="JSON file with a d x d probability grid")
     p.add_argument("--seed", dest="state_seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=8, help="product terms for random-separable")
-    p.set_defaults(state=None)
+    p.add_argument("--k", type=int, default=None,
+                   help="product terms for random-separable (default 8)")
+    p.set_defaults(state=None, state_seed_flag="--seed")
     add_output(p)
 
     p = sub.add_parser("verify", help="verify a generated JSON artifact")
@@ -292,7 +294,9 @@ def _add_state_args(p, state_seed_flag: str = "--seed"):
     p.add_argument("--p", default=None, help="JSON file with a d x d probability grid")
     p.add_argument(state_seed_flag, dest="state_seed", type=int, default=None,
                    help="seed for random state families")
-    p.add_argument("--k", type=int, default=8)
+    p.add_argument("--k", type=int, default=None,
+                   help="product terms for random-separable (default 8)")
+    p.set_defaults(state_seed_flag=state_seed_flag)
 
 
 def _load_p_grid(path: str, d: int) -> np.ndarray:
@@ -303,14 +307,27 @@ def _load_p_grid(path: str, d: int) -> np.ndarray:
 
 
 def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
+    """The state the flags name; a flag the chosen state ignores is refused."""
+    if args.state is None and (args.family is None or args.d is None):
+        raise CliError("need either --state FILE or --family with --d")
+    seed_flag = args.state_seed_flag
+    given = {"--family": args.family, "--d": args.d, "--alpha": args.alpha, "--p": args.p,
+             seed_flag: args.state_seed, "--k": args.k}
+    if args.state is not None:
+        source, takes = "--state", ()
+    else:
+        source = f"--family {args.family}"
+        takes = ("--family", "--d") + {"isotropic": ("--alpha",), "bell-diagonal": ("--p",),
+                                       "random-separable": (seed_flag, "--k")}.get(args.family, ())
+    for flag, value in given.items():
+        if value is not None and flag not in takes:
+            raise CliError(f"{source} does not take {flag}")
     if args.state is not None:
         state = serialize.state_from_obj(serialize.load_path(args.state))
         report = verify_state(state)
         if not report.passed:
             raise VerificationFailure(report.summary())
         return state, None
-    if args.family is None or args.d is None:
-        raise CliError("need either --state FILE or --family with --d")
     d = args.d
     if args.family == "isotropic":
         if args.alpha is None:
@@ -325,7 +342,7 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
         return max_entangled(d), None
     if args.state_seed is None:
         raise CliError("random-separable states need an explicit seed")
-    return random_separable(d, args.k, args.state_seed), None
+    return random_separable(d, 8 if args.k is None else args.k, args.state_seed), None
 
 
 def _write(pieces: Iterable[str], output: str | None) -> None:

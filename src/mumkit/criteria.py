@@ -26,6 +26,7 @@ lower bound, and a finite-shot estimator of J.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,13 +76,14 @@ def _realigned(state: BipartiteState) -> np.ndarray:
     return state.rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
-def _witness_expectation(a: np.ndarray, b: np.ndarray, r: np.ndarray) -> complex:
-    """sum_u Tr((A_u (x) B_u) rho) = Tr(W rho) with W = sum_u A_u (x) B_u.
+def _witness(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(a.T @ b), the realigned witness of W = sum_u A_u (x) B_u, conjugated for np.vdot.
 
-    ``a`` and ``b`` are (k, d^2) stacks of the operators' row-major vec
-    and ``r`` is the realigned state; the realigned witness is a.T @ b.
+    ``a`` and ``b`` are (k, d^2) stacks of the operators' row-major vec;
+    sum_u Tr((A_u (x) B_u) rho) = Tr(W rho) = np.vdot(_witness(a, b), R)
+    with R the realigned state.
     """
-    return complex(np.vdot((a.T @ b).conj(), r))
+    return (a.T @ b).conj()
 
 
 def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
@@ -95,19 +97,32 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
         )
 
 
+def _j_evaluator(pset: MumSet, qset: MumSet) -> Callable[[BipartiteState], float]:
+    """J(state) for one measurement pair, with the pair's realigned witness built once.
+
+    A sweep pairs many states with one pair, and the d^2 x d^2 witness
+    product is most of the cost of one J.  The caller checks that each
+    state fits the pair (:func:`_check_pairing`).
+    """
+    d2 = pset.d * pset.d
+    w = _witness(pset.elements.reshape(-1, d2), qset.elements.reshape(-1, d2))
+
+    def j(state: BipartiteState) -> float:
+        total = complex(np.vdot(w, _realigned(state)))
+        if abs(total.imag) > _IMAG_TOL:
+            raise ValueError(
+                f"J accumulated a non-real value (imag {total.imag:.3e}); "
+                "inputs violate Hermiticity"
+            )
+        return float(total.real)
+
+    return j
+
+
 def j_value(state: BipartiteState, pset: MumSet, qset: MumSet) -> float:
     """The coincidence sum J(rho) for a pair of measurement sets."""
     _check_pairing(state, pset, qset)
-    d2 = state.d * state.d
-    total = _witness_expectation(
-        pset.elements.reshape(-1, d2), qset.elements.reshape(-1, d2), _realigned(state)
-    )
-    if abs(total.imag) > _IMAG_TOL:
-        raise ValueError(
-            f"J accumulated a non-real value (imag {total.imag:.3e}); "
-            "inputs violate Hermiticity"
-        )
-    return float(total.real)
+    return _j_evaluator(pset, qset)(state)
 
 
 def mum_criterion(
@@ -152,7 +167,7 @@ def mub_criterion(
     if not report.passed:
         raise ValueError(f"bases failed MUB verification: {report.summary()}")
     p = projectors(bases).reshape(-1, state.d * state.d)
-    value = float(_witness_expectation(p, p.conj(), _realigned(state)).real)
+    value = float(np.vdot(_witness(p, p.conj()), _realigned(state)).real)
     bound = 1.0 + (bases.m - 1) / bases.d
     return DetectionReport(
         criterion="mub",
@@ -181,7 +196,7 @@ def correlation_matrix_trace(state: BipartiteState, basis: OperatorBasis) -> flo
     if basis.d != state.d:
         raise ValueError(f"dimension mismatch: state d={state.d}, basis d={basis.d}")
     fs = basis.elements.reshape(-1, state.d * state.d)
-    return 0.5 * float(_witness_expectation(fs, fs, _realigned(state)).real)
+    return 0.5 * float(np.vdot(_witness(fs, fs), _realigned(state)).real)
 
 
 def j_correlation_identity(
@@ -285,10 +300,18 @@ def simulate_counts(
 ) -> ShotEstimate:
     """Sample joint outcomes per setting and estimate J from coincidences.
 
-    Each setting draws shots by inverse-CDF sampling of its d^2 joint
-    outcome distribution; J is estimated as the summed coincidence
-    fraction, with a standard error from per-setting binomial variances
-    added in quadrature.  A fixed seed reproduces the counts exactly.
+    One seeded stream of ``shots_per_setting * (d+1)`` uniforms is drawn
+    and cut back to back, one slice per setting.  Each shot is an
+    inverse-CDF draw from the setting's d^2 joint outcome distribution:
+    a uniform u falls on outcome j when cdf[j-1] <= u < cdf[j].  Each
+    slice is sorted once, so that the count of outcome j is the number
+    of draws below cdf[j] less the number below cdf[j-1], read off by one
+    ``searchsorted`` of the d^2 CDF values into the sorted draws.  These
+    are the counts that binning every draw on its own gives, including
+    zero for an outcome of probability 0.  J is estimated as the summed
+    coincidence fraction, with a standard error from per-setting
+    binomial variances added in quadrature.  A fixed seed reproduces the
+    counts exactly.
     """
     if shots_per_setting < 1:
         raise ValueError(f"need at least one shot per setting, got {shots_per_setting}")
@@ -297,6 +320,7 @@ def simulate_counts(
     # one stream for all settings, consumed back to back: setting k takes
     # draws [k * shots_per_setting, (k + 1) * shots_per_setting)
     draws = Xoshiro256(seed).uniforms(shots_per_setting * len(dists))
+    sorted_draws = np.sort(draws.reshape(len(dists), shots_per_setting), axis=1)
     counts = []
     j_estimate = 0.0
     var = 0.0
@@ -307,9 +331,8 @@ def simulate_counts(
             raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
         cdf = np.cumsum(probs / total)
         cdf[-1] = 1.0
-        u = draws[k * shots_per_setting : (k + 1) * shots_per_setting]
-        idx = np.searchsorted(cdf, u, side="right")
-        grid = np.bincount(idx, minlength=d * d).reshape(d, d)
+        below = np.searchsorted(sorted_draws[k], cdf, side="left")
+        grid = np.diff(below, prepend=0).reshape(d, d)
         counts.append(grid)
         p_hat = float(np.trace(grid)) / shots_per_setting
         j_estimate += p_hat

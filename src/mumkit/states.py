@@ -226,7 +226,8 @@ def random_separable(d: int, k: int, seed: int) -> BipartiteState:
         a /= np.linalg.norm(a)
         b = gen.complex_normals(d)
         b /= np.linalg.norm(b)
-        rho += w[i] * np.outer(np.kron(a, b), np.kron(a, b).conj())
+        v = (a[:, None] * b).ravel()  # a (x) b
+        rho += w[i] * np.outer(v, v.conj())
     return _make_state(d, rho)
 
 

@@ -407,6 +407,54 @@ def _refusal(capsys, argv, code, prefix):
     return err
 
 
+# (command and state flags, the flag refused); STATE stands for a state file
+# and GRID for a Bell-diagonal grid file, neither of which is read
+IGNORED_STATE_FLAGS = [
+    (["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.3", "--seed", "9"], "--seed"),
+    (["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.3", "--k", "3"], "--k"),
+    (["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.3", "--p", "GRID"], "--p"),
+    (["gen-state", "--family", "bell-diagonal", "--d", "3", "--p", "GRID", "--alpha", "0.3"],
+     "--alpha"),
+    (["gen-state", "--family", "max-entangled", "--d", "3", "--alpha", "0.2"], "--alpha"),
+    (["gen-state", "--family", "random-separable", "--d", "3", "--seed", "4", "--alpha", "0.2"],
+     "--alpha"),
+    (["detect", "--family", "max-entangled", "--d", "3", "--seed", "4"], "--seed"),
+    # an explicit --k is refused even at its default value
+    (["detect", "--family", "bell-diagonal", "--d", "3", "--p", "GRID", "--k", "8"], "--k"),
+    (["simulate", "--shots", "10", "--seed", "1", "--family", "isotropic", "--d", "3",
+      "--alpha", "0.9", "--state-seed", "2"], "--state-seed"),
+    (["oracle-ppt", "--family", "isotropic", "--d", "3", "--alpha", "0.9", "--k", "2"], "--k"),
+    (["detect", "--state", "STATE", "--family", "isotropic"], "--family"),
+    (["oracle-ppt", "--state", "STATE", "--d", "3"], "--d"),
+    (["detect", "--state", "STATE", "--alpha", "0.5"], "--alpha"),
+    (["detect", "--state", "STATE", "--p", "GRID"], "--p"),
+    (["simulate", "--shots", "10", "--seed", "1", "--state", "STATE", "--state-seed", "2"],
+     "--state-seed"),
+    (["oracle-ppt", "--state", "STATE", "--seed", "2"], "--seed"),
+    (["detect", "--state", "STATE", "--k", "8"], "--k"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", IGNORED_STATE_FLAGS, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else v)
+def test_state_flags_the_state_ignores_are_refused(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.json"
+    files = {"STATE": str(tmp_path / "missing-state.json"), "GRID": str(tmp_path / "missing-p.json")}
+    argv = [files.get(arg, arg) for arg in argv]
+    source = "--state" if "--state" in argv else f"--family {argv[argv.index('--family') + 1]}"
+    code, stdout, err = run(capsys, argv + ["-o", str(out)])
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == f"error: {source} does not take {flag}\n"
+
+
+def test_random_separable_k_defaults_to_8(capsys):
+    base = ["gen-state", "--family", "random-separable", "--d", "3", "--seed", "5"]
+    code, default, _ = run(capsys, base)
+    assert code == 0
+    code, explicit, _ = run(capsys, base + ["--k", "8"])
+    assert code == 0 and explicit == default
+
+
 @pytest.mark.parametrize("argv", [["detect"], ["simulate", "--shots", "10", "--seed", "1"],
                                   ["oracle-ppt"]], ids=lambda a: a[0])
 def test_state_file_failing_verification_exits_3(tmp_path, capsys, argv):
