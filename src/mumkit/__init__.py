@@ -14,6 +14,7 @@ from .criteria import (
     bell_choice,
     bell_detection_threshold,
     correlation_bound,
+    correlation_criterion,
     correlation_matrix_trace,
     j_correlation_identity,
     j_isotropic_closed,
@@ -88,6 +89,7 @@ __all__ = [
     "build_mums",
     "conjugate_mums",
     "correlation_bound",
+    "correlation_criterion",
     "correlation_matrix_trace",
     "gell_mann_basis",
     "grouped_gell_mann_basis",

@@ -1,7 +1,8 @@
 """Command-line front end: generation, verification, detection, sweeps, shots.
 
 Exit codes: 0 on success, 2 on validation errors (bad flags, malformed
-files, dimension or range problems), 3 when a verification fails.
+files, dimension or range problems) and failed allocations, 3 when a
+verification fails.
 Errors are a single machine-parsable line on stderr.
 """
 
@@ -21,13 +22,11 @@ import numpy as np
 
 from . import serialize
 from .criteria import (
-    DetectionReport,
     VERDICT_TOL,
     _j_evaluator,
     _verdict,
     bell_choice,
-    correlation_bound,
-    correlation_matrix_trace,
+    correlation_criterion,
     j_value,
     mub_criterion,
     mum_criterion,
@@ -124,8 +123,12 @@ class SweepSpec:
         return kappa
 
 
+def _basis_for(d: int, layout: str):
+    return {"plain": gell_mann_basis, "grouped": grouped_gell_mann_basis}[layout](d)
+
+
 def _mums_for(d: int, kappa=None, t=None, use_max_t=False, layout: str = "grouped") -> MumSet:
-    basis = grouped_gell_mann_basis(d) if layout == "grouped" else gell_mann_basis(d)
+    basis = _basis_for(d, layout)
     if use_max_t:
         return build_mums(basis, max_valid_t(basis))
     if t is not None:
@@ -144,7 +147,6 @@ def _pair_for(pset: MumSet, pairing: str, p_grid=None):
             raise CliError("pairing bell-choice needs a bell-diagonal probability grid")
         qset, _ = bell_choice(pset, p_grid)
         return qset
-    raise CliError(f"unknown pairing {pairing!r}")
 
 
 def emit_figure_data(spec: SweepSpec) -> str:
@@ -324,7 +326,7 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
             raise CliError(f"{source} does not take {flag}")
     if args.state is not None:
         state = serialize.state_from_obj(serialize.load_path(args.state))
-        report = verify_state(state)
+        report = verify_state(state, args.tol)
         if not report.passed:
             raise VerificationFailure(report.summary())
         return state, None
@@ -375,8 +377,7 @@ def _write(pieces: Iterable[str], output: str | None) -> None:
 
 
 def _cmd_gen_basis(args) -> int:
-    basis = grouped_gell_mann_basis(args.d) if args.layout == "grouped" else gell_mann_basis(args.d)
-    _write(serialize.iterencode(basis), args.output)
+    _write(serialize.iterencode(_basis_for(args.d, args.layout)), args.output)
     return 0
 
 
@@ -427,12 +428,7 @@ def _cmd_detect(args) -> int:
     if args.criterion == "mub":
         report = mub_criterion(state, mub_prime(d), tol=args.tol)
     elif args.criterion == "correlation":
-        value = correlation_matrix_trace(state, gell_mann_basis(d))
-        bound = correlation_bound(d)
-        report = DetectionReport(
-            criterion="correlation", value=value, bound=bound,
-            verdict=_verdict(value, bound, args.tol), tolerance=args.tol, d=d,
-        )
+        report = correlation_criterion(state, tol=args.tol)
     else:
         pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
         qset = _pair_for(pset, args.pairing or "conjugate", p_grid)
@@ -514,7 +510,7 @@ def run_cli(argv: list[str]) -> int:
     except VerificationFailure as exc:
         sys.stderr.write(f"error: verification failed: {exc}\n")
         return 3
-    except (CliError, ValueError, OSError, KeyError) as exc:
+    except (CliError, ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:

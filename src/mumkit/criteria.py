@@ -34,7 +34,7 @@ import numpy as np
 from .linalg import require_hermitian, trace_product
 from .mub import BasisSet, projectors, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
-from .operator_basis import OperatorBasis, weyl_operator
+from .operator_basis import OperatorBasis, gell_mann_basis, weyl_operator
 from .reporting import worst
 from .rng import Xoshiro256
 from .states import BipartiteState, _probability_grid
@@ -67,6 +67,13 @@ def _verdict(value: float, bound: float, tol: float) -> str:
     return "entangled" if value > bound + tol else "inconclusive"
 
 
+def _report(criterion: str, value: float, bound: float, tol: float, d: int,
+            **extra) -> DetectionReport:
+    """One criterion's report; ``extra`` sets ``kappa`` or ``params``."""
+    return DetectionReport(criterion=criterion, value=value, bound=bound,
+                           verdict=_verdict(value, bound, tol), tolerance=tol, d=d, **extra)
+
+
 def _realigned(state: BipartiteState) -> np.ndarray:
     """R with Tr((A (x) B) rho) = vec(A) @ R @ vec(B) for d x d operators A, B.
 
@@ -74,16 +81,6 @@ def _realigned(state: BipartiteState) -> np.ndarray:
     """
     d = state.d
     return state.rho.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-
-
-def _witness(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conj(a.T @ b), the realigned witness of W = sum_u A_u (x) B_u, conjugated for np.vdot.
-
-    ``a`` and ``b`` are (k, d^2) stacks of the operators' row-major vec;
-    sum_u Tr((A_u (x) B_u) rho) = Tr(W rho) = np.vdot(_witness(a, b), R)
-    with R the realigned state.
-    """
-    return (a.T @ b).conj()
 
 
 def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
@@ -97,26 +94,34 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
         )
 
 
-def _j_evaluator(pset: MumSet, qset: MumSet) -> Callable[[BipartiteState], float]:
-    """J(state) for one measurement pair, with the pair's realigned witness built once.
+def _contraction(a: np.ndarray, b: np.ndarray) -> Callable[[BipartiteState], float]:
+    """sum_u Tr((A_u (x) B_u) rho) as a function of the state, its witness formed once.
 
-    A sweep pairs many states with one pair, and the d^2 x d^2 witness
-    product is most of the cost of one J.  The caller checks that each
-    state fits the pair (:func:`_check_pairing`).
+    ``a`` and ``b`` are (k, d^2) stacks of the operators' row-major vec.
+    W = sum_u A_u (x) B_u realigns to a.T @ b, so Tr(W rho) is one
+    np.vdot of its conjugate with the realigned state.  A sweep pairs many
+    states with one pair, and the d^2 x d^2 product is most of the cost
+    of one value.  A non-real value means a non-Hermitian input and
+    raises ValueError.
     """
-    d2 = pset.d * pset.d
-    w = _witness(pset.elements.reshape(-1, d2), qset.elements.reshape(-1, d2))
+    w = (a.T @ b).conj()
 
-    def j(state: BipartiteState) -> float:
+    def value(state: BipartiteState) -> float:
         total = complex(np.vdot(w, _realigned(state)))
         if abs(total.imag) > _IMAG_TOL:
             raise ValueError(
-                f"J accumulated a non-real value (imag {total.imag:.3e}); "
+                f"witness contraction accumulated a non-real value (imag {total.imag:.3e}); "
                 "inputs violate Hermiticity"
             )
         return float(total.real)
 
-    return j
+    return value
+
+
+def _j_evaluator(pset: MumSet, qset: MumSet) -> Callable[[BipartiteState], float]:
+    """J(state) for one measurement pair; the caller checks each state (:func:`_check_pairing`)."""
+    d2 = pset.d * pset.d
+    return _contraction(pset.elements.reshape(-1, d2), qset.elements.reshape(-1, d2))
 
 
 def j_value(state: BipartiteState, pset: MumSet, qset: MumSet) -> float:
@@ -129,17 +134,8 @@ def mum_criterion(
     state: BipartiteState, pset: MumSet, qset: MumSet, tol: float = VERDICT_TOL
 ) -> DetectionReport:
     """Separability test J(rho) <= 1 + kappa."""
-    value = j_value(state, pset, qset)
-    bound = 1.0 + pset.kappa
-    return DetectionReport(
-        criterion="mum",
-        value=value,
-        bound=bound,
-        verdict=_verdict(value, bound, tol),
-        tolerance=tol,
-        d=state.d,
-        kappa=pset.kappa,
-    )
+    return _report("mum", j_value(state, pset, qset), 1.0 + pset.kappa, tol, state.d,
+                   kappa=pset.kappa)
 
 
 def j_isotropic_closed(d: int, kappa: float, alpha: float) -> float:
@@ -167,17 +163,8 @@ def mub_criterion(
     if not report.passed:
         raise ValueError(f"bases failed MUB verification: {report.summary()}")
     p = projectors(bases).reshape(-1, state.d * state.d)
-    value = float(np.vdot(_witness(p, p.conj()), _realigned(state)).real)
-    bound = 1.0 + (bases.m - 1) / bases.d
-    return DetectionReport(
-        criterion="mub",
-        value=value,
-        bound=bound,
-        verdict=_verdict(value, bound, tol),
-        tolerance=tol,
-        d=state.d,
-        params={"m": bases.m},
-    )
+    return _report("mub", _contraction(p, p.conj())(state), 1.0 + (bases.m - 1) / bases.d,
+                   tol, state.d, params={"m": bases.m})
 
 
 def correlation_bound(d: int) -> float:
@@ -196,7 +183,14 @@ def correlation_matrix_trace(state: BipartiteState, basis: OperatorBasis) -> flo
     if basis.d != state.d:
         raise ValueError(f"dimension mismatch: state d={state.d}, basis d={basis.d}")
     fs = basis.elements.reshape(-1, state.d * state.d)
-    return 0.5 * float(np.vdot(_witness(fs, fs), _realigned(state)).real)
+    return 0.5 * _contraction(fs, fs)(state)
+
+
+def correlation_criterion(state: BipartiteState, tol: float = VERDICT_TOL) -> DetectionReport:
+    """Correlation-matrix test Tr(T) <= (d-1)/(2d) over the plain Gell-Mann basis."""
+    d = state.d
+    return _report("correlation", correlation_matrix_trace(state, gell_mann_basis(d)),
+                   correlation_bound(d), tol, d)
 
 
 def j_correlation_identity(
@@ -252,10 +246,10 @@ def pure_identity_check(pure: np.ndarray, pset: MumSet) -> tuple[float, float]:
     purity = float(trace_product(rho, rho).real)
     if abs(purity - 1.0) > 1e-9:
         raise ValueError(f"input is mixed: Tr(rho^2) = {purity!r}")
+    probs = np.einsum("kij,ji->k", pset.elements.reshape(-1, pset.d, pset.d), rho).real
     lhs = 0.0
-    for row in pset.elements:
-        for p in row:
-            lhs += float(trace_product(p, rho).real) ** 2
+    for p in probs.tolist():  # in order: sum() compensates on Python 3.12+
+        lhs += p ** 2
     return lhs, 1.0 + pset.kappa
 
 

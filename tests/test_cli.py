@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropic, j_value
+from mumkit import correlation_criterion, max_entangled
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
@@ -338,6 +339,21 @@ def test_detect_correlation_criterion(capsys):
     assert report["value"] == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert report["bound"] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert report["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("family", ["max-entangled", "isotropic"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_correlation_criterion_matches_detect(capsys, family, d):
+    flags = ["--alpha", "0.3"] if family == "isotropic" else []
+    code, stdout, err = run(capsys, ["detect", "--criterion", "correlation", "--family", family,
+                                     "--d", str(d)] + flags)
+    assert code == 0, err
+    report = json.loads(stdout)
+    state = isotropic(d, 0.3) if family == "isotropic" else max_entangled(d)
+    want = correlation_criterion(state)
+    assert (report["value"], report["bound"], report["verdict"]) == (
+        want.value, want.bound, want.verdict)
+    assert (want.criterion, want.kappa, want.d) == ("correlation", None, d)
 
 
 def test_detect_bell_choice_pairing(tmp_path, capsys):
@@ -1157,3 +1173,37 @@ def test_python_m_runs_the_command_line(tmp_path, module):
     done = subprocess.run([sys.executable, "-m", module, "gen-mums", "--bogus"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2 and done.stderr.count("\n") == 1
+
+
+def test_tol_reaches_state_file_checks(tmp_path, capsys):
+    file = tmp_path / "state.json"
+    path = str(file)
+    assert run(capsys, ["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.5",
+                        "-o", path])[0] == 0
+    obj = json.loads(file.read_text())
+    obj["rho"]["entries"][0][0] += 3e-8  # the trace is 3e-8 off
+    file.write_text(json.dumps(obj))
+    assert run(capsys, ["--tol", "1e-6", "verify", path])[0] == 0
+    code, stdout, err = run(capsys, ["--tol", "1e-6", "detect", "--state", path])
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["criterion"] == "mum"
+    assert run(capsys, ["--tol", "1e-6", "oracle-ppt", "--state", path])[0] == 0
+    # at the default 1e-9 the same file fails its check
+    code, stdout, err = run(capsys, ["detect", "--state", path])
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: verification failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["gen-mub", "--d", "3"], "mub_prime"),
+    (["gen-basis", "--d", "3"], "gell_mann_basis"),
+    (["gen-mums", "--d", "3"], "grouped_gell_mann_basis"),
+])
+def test_allocation_failure_exits_2_with_one_line(monkeypatch, capsys, argv, builder):
+    message = "Unable to allocate 131. TiB for an array with shape (3000017, 3000017)"
+
+    def out_of_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, builder, out_of_memory)
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")

@@ -173,6 +173,20 @@ def test_j_flags_non_hermitian_drift():
         j_value(BipartiteState(d=2, rho=rho), ms, ms)
 
 
+def test_mub_and_correlation_trace_flag_non_hermitian_drift():
+    from mumkit import BipartiteState
+
+    # break Hermiticity behind the dataclass, at an entry each witness weighs:
+    # (|00>, |11>) for the bases paired with their conjugates, and
+    # (|01>, |10>) for the basis paired with itself (sum_u F_u (x) F_u is SWAP - I/d)
+    for (i, j), check in [((0, 4), lambda st: mub_criterion(st, mub_prime(3))),
+                          ((1, 3), lambda st: correlation_matrix_trace(st, gell_mann_basis(3)))]:
+        rho = isotropic(3, 0.4).rho.copy()
+        rho[i, j] += 0.05j
+        with pytest.raises(ValueError, match="non-real"):
+            check(BipartiteState(d=3, rho=rho))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_separable_states_obey_bound_smoke(seed):
     d = 3
@@ -431,6 +445,25 @@ def test_pure_identity_random_qutrit():
     lhs, rhs = pure_identity_check(random_pure(3, 12), ms)
     assert rhs == pytest.approx(14.0 / 9.0)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def pure_identity_by_trace_loop(pure, pset):
+    # the per-element loop pure_identity_check ran before its stacked einsum
+    lhs = 0.0
+    for row in pset.elements:
+        for p in row:
+            lhs += float(trace_product(p, pure).real) ** 2
+    return lhs
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_pure_identity_matches_trace_loop_bitwise(d):
+    ms = optimal_mums(d)
+    for seed in range(20):
+        pure = random_pure(d, 500 + seed)
+        lhs, rhs = pure_identity_check(pure, ms)
+        assert lhs == pure_identity_by_trace_loop(pure, ms)
+        assert rhs == 1.0 + ms.kappa
 
 
 def test_pure_identity_rejects_mixed_input():
