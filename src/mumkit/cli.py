@@ -453,7 +453,7 @@ def _cmd_simulate(args) -> int:
     state, _ = _state_from_args(args)
     pset = _mums_for(state.d, kappa=args.kappa, t=args.t)
     qset = _pair_for(pset, args.pairing)
-    est = simulate_counts(state, pset, qset, args.shots, args.seed)
+    est = simulate_counts(state, pset, qset, args.shots, args.seed, tol=args.tol)
     exact = j_value(state, pset, qset)
     obj = {
         "j_estimate": float(est.j_estimate),

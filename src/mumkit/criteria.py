@@ -291,6 +291,7 @@ def simulate_counts(
     qset: MumSet,
     shots_per_setting: int,
     seed: int,
+    tol: float = 1e-10,
 ) -> ShotEstimate:
     """Sample joint outcomes per setting and estimate J from coincidences.
 
@@ -306,29 +307,32 @@ def simulate_counts(
     coincidence fraction, with a standard error from per-setting
     binomial variances added in quadrature.  A fixed seed reproduces the
     counts exactly.
+
+    Each setting's probabilities must sum to 1 within ``tol``; a state
+    checked at a looser tolerance (the CLI's ``--tol``) passes that one.
     """
     if shots_per_setting < 1:
         raise ValueError(f"need at least one shot per setting, got {shots_per_setting}")
     dists = setting_distributions(state, pset, qset)
     d = state.d
+    probs = np.clip(np.reshape(dists, (d + 1, d * d)), 0.0, None)
+    totals = probs.sum(axis=1)
+    off = np.abs(totals - 1.0) > tol
+    if off.any():
+        total = float(totals[off.argmax()])
+        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
+    cdf = np.cumsum(probs / totals[:, None], axis=1)
+    cdf[:, -1] = 1.0
     # one stream for all settings, consumed back to back: setting k takes
     # draws [k * shots_per_setting, (k + 1) * shots_per_setting)
-    draws = Xoshiro256(seed).uniforms(shots_per_setting * len(dists))
-    sorted_draws = np.sort(draws.reshape(len(dists), shots_per_setting), axis=1)
-    counts = []
+    draws = Xoshiro256(seed).uniforms(shots_per_setting * (d + 1))
+    sorted_draws = np.sort(draws.reshape(d + 1, shots_per_setting), axis=1)
+    below = np.array([np.searchsorted(row, c, side="left") for row, c in zip(sorted_draws, cdf)])
+    counts = np.diff(below, axis=1, prepend=0).reshape(d + 1, d, d)
     j_estimate = 0.0
     var = 0.0
-    for k, q in enumerate(dists):
-        probs = np.clip(q.ravel(), 0.0, None)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-        cdf = np.cumsum(probs / total)
-        cdf[-1] = 1.0
-        below = np.searchsorted(sorted_draws[k], cdf, side="left")
-        grid = np.diff(below, prepend=0).reshape(d, d)
-        counts.append(grid)
-        p_hat = float(np.trace(grid)) / shots_per_setting
+    for hits in np.trace(counts, axis1=1, axis2=2).tolist():
+        p_hat = hits / shots_per_setting
         j_estimate += p_hat
         var += p_hat * (1.0 - p_hat) / shots_per_setting
     return ShotEstimate(

@@ -8,19 +8,21 @@ same stream on every platform and with every numpy version, so seeded
 expected values frozen into the test suite never drift.
 
 ``uniforms(n)`` takes one of two paths with identical output and final
-state.  Below ``_CROSSOVER`` (768) draws it runs the pure-Python scalar
+state.  Below ``_CROSSOVER`` (256) draws it runs the pure-Python scalar
 loop, which is also the reference the tests hold the other path to.
-From 768 draws on it runs lane-parallel (Blackman & Vigna,
+From 256 draws on it runs lane-parallel (Blackman & Vigna,
 arXiv:1805.01407): the state update is linear over GF(2), a 256x256 bit
 matrix T, so the stream is cut into lanes of M consecutive draws (M the
-largest power of two not above sqrt(n)), lane start states are reached
-by products with the jump matrices ``T^(2^k)``, and all lanes step
-together in numpy ``uint64`` arithmetic, which wraps modulo 2**64 like
-the masked scalar loop.  The crossover is where the lane path's fixed
-cost stops outweighing the loop's per-draw cost.  Bit-matrix products run
-as float32 matrix products, exact because each entry counts at most 256
-ones.  The jump matrices are built lazily by squaring and cached
-bit-packed, 8 KiB each, about log2(n) of them for a request of n draws.
+largest power of two not above sqrt(n) / 2), lane start states are
+reached by the jumps ``T^(2^k)``, and all lanes step together in numpy
+``uint64`` arithmetic, which wraps modulo 2**64 like the masked scalar
+loop.  The crossover is where the lane path's fixed cost stops
+outweighing the loop's per-draw cost.  Each jump is cached as a
+read-only nibble table of uint64 words, 32 KiB, built lazily by
+squaring; applying it to c states is one gather of 64 c table rows and
+one XOR reduction.  A request of n draws needs about log2(n) of them.
+The lanes step into one (M+1, 4, L) history array, each step writing the
+next slice, and the outputs are computed once from the whole history.
 
 Stream layout conventions used by callers:
 
@@ -41,12 +43,13 @@ _MASK = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
 # Requests shorter than this many draws take the scalar loop: below it the
-# fixed cost of the lane path (jump-matrix products and array set-up,
-# about 0.18 ms) outweighs the loop's ~0.37 us per draw.  Lane time over
-# loop time, measured on a 2-core x86 VM (Python 3.11, numpy 2.4,
-# OpenBLAS with one thread): 1.9 at 256 draws, 1.1 at 512, 1.05 at 640,
-# 0.89 at 768, 0.73 at 1024.
-_CROSSOVER = 768
+# fixed cost of the lane path (about 0.14 ms, mostly the jumps' numpy
+# calls) outweighs the loop's per-draw cost.  Lane time over loop time,
+# medians of 15 interleaved runs on a 2-core x86 VM (Python 3.11, numpy
+# 2.4, one BLAS thread; the loop took about 0.78 us per draw there): 1.32
+# at 128 draws, 1.14 at 192, 0.81 at 256, 0.59 at 384, 0.43 at 512, 0.34
+# at 768.
+_CROSSOVER = 256
 
 _R11, _R17, _R19, _R23, _R41, _R45 = (np.uint64(k) for k in (11, 17, 19, 23, 41, 45))
 
@@ -69,107 +72,112 @@ def _scalar_uniforms(state: tuple[int, int, int, int], n: int):
     return out, (s0, s1, s2, s3)
 
 
-def _step_lanes(s0, s1, s2, s3, raw: np.ndarray, tail: int) -> tuple[int, int, int, int]:
-    """Step every lane ``len(raw)`` times in place, writing output j to ``raw[j]``.
+def _step_lanes(h: np.ndarray) -> None:
+    """Fill ``h[1:]`` of an (M+1, 4, L) uint64 history, ``h[j + 1]`` one step after ``h[j]``.
 
-    ``s0..s3`` are uint64 arrays with one entry per lane; numpy's uint64
-    arithmetic wraps modulo 2**64 exactly like the masked scalar loop.
-    Returns the last lane's state after its first ``tail`` steps.
+    Column l of ``h[j]`` is lane l's state (s0, s1, s2, s3) after j steps;
+    numpy's uint64 arithmetic wraps modulo 2**64 exactly like the masked
+    scalar loop.  The two xor pairs of the update, (s2 ^ s0, s3 ^ s1) and
+    then (s1 ^ s2', s0 ^ s3'), each run as one call on a pair of rows.
     """
-    x = np.empty_like(s0)
-    t = np.empty_like(s0)
-    for j, r in enumerate(raw):
-        np.add(s0, s3, out=x)
-        np.left_shift(x, _R23, out=r)
-        np.right_shift(x, _R41, out=x)
-        np.bitwise_or(r, x, out=r)
-        np.add(r, s0, out=r)
-        np.left_shift(s1, _R17, out=t)
-        np.bitwise_xor(s2, s0, out=s2)
-        np.bitwise_xor(s3, s1, out=s3)
-        np.bitwise_xor(s1, s2, out=s1)
-        np.bitwise_xor(s0, s3, out=s0)
-        np.bitwise_xor(s2, t, out=s2)
-        np.left_shift(s3, _R45, out=x)
-        np.right_shift(s3, _R19, out=s3)
-        np.bitwise_or(s3, x, out=s3)
-        if j + 1 == tail:
-            last = (int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1]))
-    return last
+    t = np.empty_like(h[0, 0])
+    for s, nxt in zip(h[:-1], h[1:]):
+        np.bitwise_xor(s[2:4], s[0:2], out=nxt[2:4])
+        np.bitwise_xor(s[1::-1], nxt[2:4], out=nxt[1::-1])
+        np.left_shift(s[1], _R17, out=t)
+        np.bitwise_xor(nxt[2], t, out=nxt[2])
+        np.left_shift(nxt[3], _R45, out=t)
+        np.right_shift(nxt[3], _R19, out=nxt[3])
+        np.bitwise_or(nxt[3], t, out=nxt[3])
 
 
-def _words_to_bits(words: np.ndarray) -> np.ndarray:
-    """(4, L) state words -> (256, L) 0/1 bits; bit 64 k + i is bit i of word k."""
-    octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    return np.unpackbits(octets, axis=1, bitorder="little").T
+# Table row offsets of nibbles 0..63, as (byte p, low or high half, state)
+# for a jump table viewed as (64 * 16, 4): nibble 2 p + h starts at row
+# 16 (2 p + h).
+_NIBBLE_ROWS = 16 * np.arange(64).reshape(32, 2, 1)
 
 
-def _bits_to_words(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_words_to_bits`, as a C-contiguous (4, L) uint64 array."""
-    octets = np.packbits(np.ascontiguousarray(bits.T, dtype=np.uint8), axis=1, bitorder="little")
-    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+def _jump(k: int, states: np.ndarray) -> np.ndarray:
+    """T^(2^k) over GF(2) applied to each row of a (c, 4) uint64 array of states.
 
-
-def _jump(k: int, bits: np.ndarray) -> np.ndarray:
-    """T^(2^k) @ bits over GF(2), for a (256, c) 0/1 uint8 array of states.
-
-    The product runs as a float32 BLAS product, which is exact whatever the
-    summation order: every entry counts at most 256 ones, far inside
-    float32's exact integer range (2**24).  The matrix is unpacked 64
-    columns at a time, so its float32 copy takes 64 KiB, not 256 KiB.
+    Nibble j of a state holds its bits 4 j .. 4 j + 3 (bit 64 w + i is bit
+    i of word w), which is half of its little-endian byte j // 2.  The
+    image of the state is the XOR over j of table entry ``[j, nibble j]``:
+    one gather of 64 x c rows, then one XOR reduction over the 64.
     """
-    packed = _jump_matrix(k)
-    counts = np.zeros((256, bits.shape[1]), dtype=np.float32)
-    for lo in range(0, 256, 64):
-        cols = np.unpackbits(packed[:, lo // 8 : (lo + 64) // 8], axis=1).astype(np.float32)
-        counts += cols @ bits[lo : lo + 64].astype(np.float32)
-    return (counts.astype(np.uint16) & 1).astype(np.uint8)
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    rows = np.empty((32, 2, len(states)), dtype=np.intp)
+    np.bitwise_and(octets, 15, out=rows[:, 0])
+    np.right_shift(octets, 4, out=rows[:, 1])
+    rows += _NIBBLE_ROWS
+    entries = np.take(_jump_table(k).reshape(-1, 4), rows.reshape(64, -1), axis=0)
+    return np.bitwise_xor.reduce(entries, axis=0)
 
 
 @functools.cache
-def _jump_matrix(k: int) -> np.ndarray:
-    """T^(2^k) over GF(2), rows bit-packed into a read-only (256, 32) uint8 array.
+def _jump_table(k: int) -> np.ndarray:
+    """T^(2^k) over GF(2) as a read-only (64, 16, 4) uint64 nibble table.
 
-    T is the one-step state update as a 256x256 bit matrix; its column i is
-    the state one step after the unit state e_i.  Higher powers come from
-    squaring.  Each matrix is 8 KiB; a request of n draws needs powers up
-    to about log2(n), so the cache stays below 64 entries (512 KiB).
+    T is the one-step state update.  Entry ``[j, v]`` is the XOR of the
+    images of the state bits 4 j + b for the bits b set in v, so a state's
+    image is the XOR of one entry per nibble.  Higher powers come from
+    squaring: the images of the unit states under T^(2^k) are the images
+    under T^(2^(k-1)) of those under T^(2^(k-1)).  Each table is 32 KiB; a
+    request of n draws needs the powers k < log2(n), so 14000 draws fill
+    14 tables (448 KiB).
     """
     if k == 0:
-        words = _bits_to_words(np.eye(256, dtype=np.uint8))
-        _step_lanes(*words, np.empty((1, 256), dtype=np.uint64), 1)
-        bits = _words_to_bits(words)
+        h = np.empty((2, 4, 256), dtype=np.uint64)
+        h[0] = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little").view("<u8").T
+        _step_lanes(h)
+        images = h[1].T
     else:
-        # squared 64 columns at a time, for the same bound on temporaries
-        half = np.unpackbits(_jump_matrix(k - 1), axis=1)
-        bits = np.concatenate([_jump(k - 1, half[:, lo : lo + 64]) for lo in range(0, 256, 64)], axis=1)
-    packed = np.packbits(bits, axis=1)
-    packed.flags.writeable = False
-    return packed
+        images = _jump(k - 1, _jump_table(k - 1)[:, [1, 2, 4, 8]].reshape(256, 4))
+    images = images.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for b in range(4):
+        table[:, 1 << b : 2 << b] = table[:, : 1 << b] ^ images[:, b, None]
+    table.flags.writeable = False
+    return table
 
 
 def _lane_uniforms(state: tuple[int, int, int, int], n: int):
     """Bit-exact lane-parallel form of :func:`_scalar_uniforms`.
 
     The stream is cut into L lanes of M consecutive draws, M the largest
-    power of two not above sqrt(n).  Lane start states come from doubling:
-    lanes [c, 2c) are lanes [0, c) advanced by T^(c M).  All lanes then
-    step M times together, and lane l's j-th output is draw l M + j.
+    power of two not above sqrt(n) / 2.  Lane start states come from
+    doubling: lanes [c, 2c) are lanes [0, c) advanced by T^(c M).  All lanes
+    then step M times together into one history, and lane l's j-th output
+    is draw l M + j.
     """
-    m = 1 << ((n.bit_length() - 1) // 2)
+    # Lane length: the jumps cost about n / M table gathers, the steps
+    # about 7 M numpy calls.  Medians of 15 interleaved runs of this
+    # function (ms, same VM as _CROSSOVER) by M:
+    #   n = 2592:   M=8 0.45, 16 0.48, 32 0.63, 64 0.98
+    #   n = 14000:  M=8 1.23, 16 0.92, 32 0.92, 64 1.21, 128 1.92
+    #   n = 100000: M=16 4.31, 32 3.15, 64 2.89, 128 3.39
+    m = 1 << ((n.bit_length() - 3) // 2)
     lanes = -(-n // m)
-    bits = _words_to_bits(np.array(state, dtype=np.uint64)[:, None])
-    k = m.bit_length() - 1
-    while bits.shape[1] < lanes:
-        ahead = _jump(k, bits[:, : lanes - bits.shape[1]])
-        bits = np.concatenate([bits, ahead], axis=1)
-        k += 1
-    raw = np.empty((m, lanes), dtype=np.uint64)
-    last = _step_lanes(*_bits_to_words(bits), raw, n - (lanes - 1) * m)
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = state
+    c, k = 1, m.bit_length() - 1
+    while c < lanes:
+        ahead = min(c, lanes - c)
+        starts[c : c + ahead] = _jump(k, starts[:ahead])
+        c, k = c + ahead, k + 1
+    h = np.empty((m + 1, 4, lanes), dtype=np.uint64)
+    h[0] = starts.T
+    _step_lanes(h)
+    s0, s3 = h[:m, 0], h[:m, 3]
+    x = s0 + s3
+    raw = x << _R23
+    raw |= x >> _R41
+    raw += s0
     raw >>= _R11
     out = raw.T.astype(np.float64, order="C").reshape(-1)[:n]
     out *= _INV53
-    return out, last
+    tail = n - (lanes - 1) * m
+    return out, tuple(int(w) for w in h[tail, :, -1])
 
 
 def _splitmix64(seed: int):

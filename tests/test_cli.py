@@ -1188,6 +1188,11 @@ def test_tol_reaches_state_file_checks(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(stdout)["criterion"] == "mum"
     assert run(capsys, ["--tol", "1e-6", "oracle-ppt", "--state", path])[0] == 0
+    # simulate checks each setting's sum at the same tolerance
+    code, stdout, err = run(capsys, ["--tol", "1e-6", "simulate", "--state", path,
+                                     "--shots", "10", "--seed", "1"])
+    assert (code, err) == (0, "")
+    assert np.array(json.loads(stdout)["counts"]).sum(axis=(1, 2)).tolist() == [10, 10, 10]
     # at the default 1e-9 the same file fails its check
     code, stdout, err = run(capsys, ["detect", "--state", path])
     assert (code, stdout) == (3, "")

@@ -1,10 +1,12 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from mumkit import (
     BasisSet,
+    BipartiteState,
     OperatorBasis,
     Xoshiro256,
     bell_choice,
@@ -567,6 +569,20 @@ def test_simulate_counts_needs_shots():
     ms = optimal_mums(2)
     with pytest.raises(ValueError, match="shot"):
         simulate_counts(isotropic(2, 0.5), ms, ms, 0, seed=1)
+
+
+def test_simulate_counts_checks_sums_at_tol():
+    ms = optimal_mums(2)
+    rho = isotropic(2, 0.5).rho.copy()
+    rho[0, 0] += 3e-8  # every setting's probabilities sum to 1 + 3e-8
+    off = BipartiteState(2, rho)
+    with pytest.raises(ValueError) as info:
+        simulate_counts(off, ms, conjugate_mums(ms), 10, seed=1)
+    # the sum prints as a Python float, not as a numpy scalar repr
+    assert re.fullmatch(r"outcome probabilities sum to 1\.0000000[23]\d*, expected 1",
+                        str(info.value))
+    est = simulate_counts(off, ms, conjugate_mums(ms), 10, seed=1, tol=1e-6)
+    assert [int(g.sum()) for g in est.counts] == [10, 10, 10]
 
 
 def test_mub_lift_reduction_to_i_m():

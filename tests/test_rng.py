@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -233,11 +234,14 @@ def state(gen: Xoshiro256):
     return gen._s0, gen._s1, gen._s2, gen._s3
 
 
-# q*M - 1, q*M, q*M + 1 for lane lengths M = 16 (at the scalar/lane
-# crossover, 768 = 48 * 16), 32, 64 and 256; 1023 and 4095 also sit
-# where M doubles.
+# q*M - 1, q*M, q*M + 1 for lane lengths M = 8 (at the scalar/lane
+# crossover, 256 = 32 * 8, and 768 = 96 * 8), 16 (1024, 2592), 32 (4096,
+# 13952), 64 (16384, 20032) and 128 (100096); 1023, 4095 and 16383 also
+# sit where M doubles.
 @pytest.mark.parametrize(
-    "n", [n + e for n in (rng._CROSSOVER, 1024, 4096, 13952, 100096) for e in (-1, 0, 1)]
+    "n",
+    [n + e for n in (rng._CROSSOVER, 768, 1024, 2592, 4096, 13952, 16384, 20032, 100096)
+     for e in (-1, 0, 1)],
 )
 def test_uniforms_match_scalar_loop(n):
     for seed in (3, 2**64 - 1):
@@ -258,12 +262,73 @@ def test_uniforms_continue_exactly(a, b):
     assert state(gen) == state(whole)
 
 
-def test_jump_matrices_are_packed_and_read_only():
+def test_jump_tables_are_read_only_nibble_tables():
+    rng._jump_table.cache_clear()
     Xoshiro256(1).uniforms(14000)
+    assert rng._jump_table.cache_info().currsize <= 20
     for k in range(14):
-        mat = rng._jump_matrix(k)
-        assert mat.shape == (256, 32) and mat.dtype == np.uint8
-        assert not mat.flags.writeable
+        table = rng._jump_table(k)
+        assert table.shape == (64, 16, 4) and table.dtype == np.uint64
+        assert not table.flags.writeable
+
+
+def words_to_bits(words: np.ndarray) -> np.ndarray:
+    """(4, L) state words -> (256, L) 0/1 bits; bit 64 k + i is bit i of word k."""
+    octets = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").T
+
+
+def bits_to_words(bits: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`words_to_bits`, as a C-contiguous (4, L) uint64 array."""
+    octets = np.packbits(np.ascontiguousarray(bits.T, dtype=np.uint8), axis=1, bitorder="little")
+    return np.ascontiguousarray(octets.view("<u8").T, dtype=np.uint64)
+
+
+def float32_jump(k: int, bits: np.ndarray) -> np.ndarray:
+    """Test-local copy of the float32 bit-matrix jump: T^(2^k) @ bits over GF(2).
+
+    ``bits`` is a (256, c) 0/1 uint8 array of states.  The product is exact:
+    every entry counts at most 256 ones, far inside float32's integer range.
+    """
+    packed = float32_jump_matrix(k)
+    counts = np.zeros((256, bits.shape[1]), dtype=np.float32)
+    for lo in range(0, 256, 64):
+        cols = np.unpackbits(packed[:, lo // 8 : (lo + 64) // 8], axis=1).astype(np.float32)
+        counts += cols @ bits[lo : lo + 64].astype(np.float32)
+    return (counts.astype(np.uint16) & 1).astype(np.uint8)
+
+
+@functools.cache
+def float32_jump_matrix(k: int) -> np.ndarray:
+    """T^(2^k) over GF(2), rows bit-packed into a (256, 32) uint8 array, by squaring.
+
+    Column i of T is the state one step of the scalar reference loop after
+    the unit state e_i.
+    """
+    if k == 0:
+        images = []
+        for i in range(256):
+            gen = Xoshiro256(0)
+            gen._s0, gen._s1, gen._s2, gen._s3 = (
+                1 << (i % 64) if w == i // 64 else 0 for w in range(4)
+            )
+            images.append(reference_uniforms(gen, 1)[1])
+        bits = words_to_bits(np.array(images, dtype=np.uint64).T)
+    else:
+        half = np.unpackbits(float32_jump_matrix(k - 1), axis=1)
+        bits = np.concatenate(
+            [float32_jump(k - 1, half[:, lo : lo + 64]) for lo in range(0, 256, 64)], axis=1
+        )
+    return np.packbits(bits, axis=1)
+
+
+@pytest.mark.parametrize("c", [1, 7, 219, 512])
+def test_jump_matches_float32_bit_matrix_product(c):
+    states = np.frombuffer(np.random.default_rng(c).bytes(32 * c), dtype="<u8")
+    states = states.astype(np.uint64).reshape(c, 4)
+    for k in range(15):
+        want = bits_to_words(float32_jump(k, words_to_bits(states.T))).T
+        assert np.array_equal(rng._jump(k, states), want), k
 
 
 def stream_digest(seed: int, method: str, n: int) -> str:
