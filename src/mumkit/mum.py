@@ -26,7 +26,8 @@ import numpy as np
 
 from .linalg import as_stack
 from .operator_basis import OperatorBasis, grouped_gell_mann_basis, verify_orthonormal_basis
-from .reporting import VerificationReport, min_eigenvalues, operator_defects, worst
+from .reporting import (VerificationReport, _certified_psd, min_eigenvalues, operator_defects,
+                        worst)
 
 
 class PositivityError(ValueError):
@@ -106,20 +107,26 @@ def _verified(basis: OperatorBasis) -> OperatorBasis:
 def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     """Build the d+1 measurements from a verified operator basis at parameter t.
 
-    Raises :class:`PositivityError` (reporting the worst offender) if any
-    element dips below -1e-12 in its spectrum.
+    Positivity is certified by one Cholesky per family, so the
+    temporaries stay one family's size.  Only a set it does not certify
+    gets its spectra taken, by one eigvalsh, and then
+    :class:`PositivityError` reports the worst offender if any element
+    dips below -1e-12 in its spectrum.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
     d = _verified(basis).d
     # in place: at d = 16 each temporary of this shape is 1 MiB
     rows = _measurement_directions(basis)
-    rows *= t
+    # a t that overflows leaves inf entries, which the check below refuses
+    with np.errstate(over="ignore"):
+        rows *= t
     rows += np.eye(d, dtype=complex) / d
-    lam = min_eigenvalues(rows.reshape(-1, d, d)).reshape(d + 1, d)
-    b, n = np.unravel_index(np.argmin(lam), lam.shape)
-    if lam[b, n] < -_BUILD_PSD_TOL:
-        raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
+    if not all(_certified_psd(family, _BUILD_PSD_TOL) for family in rows):
+        lam = min_eigenvalues(rows.reshape(-1, d, d)).reshape(d + 1, d)
+        b, n = np.unravel_index(np.argmin(lam), lam.shape)
+        if lam[b, n] < -_BUILD_PSD_TOL:
+            raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
     return MumSet(
         d=d,
         elements=rows,

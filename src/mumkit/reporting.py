@@ -42,6 +42,27 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _certified_psd(stack: np.ndarray, tol: float) -> bool:
+    """Whether each Hermitian matrix of a (k, n, n) stack has no eigenvalue below -tol.
+
+    One stacked ``cholesky`` of A + (tol/2) I, which succeeds only where
+    lambda_min(A) >= -tol/2 - delta, delta being its rounding error
+    (about 1e-14 for the states and measurement operators checked with
+    it), so ``eigvalsh`` would pass every matrix too.  False certifies nothing: some matrix
+    may still pass, and only its eigenvalues say which.  Like
+    ``eigvalsh``, it reads the lower triangle.  A non-finite entry gives
+    False up front, because Cholesky factors a matrix with a lone +inf
+    on its diagonal without complaint.
+    """
+    if not np.isfinite(stack).all():
+        return False
+    try:
+        np.linalg.cholesky(stack + (tol / 2) * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class OperatorDefects:
     """What :func:`operator_defects` measured on an (F, k, n, n) array of operator families."""

@@ -2,7 +2,11 @@
 
 States live on C^d (x) C^d with the first factor major: the composite
 index of |i> (x) |j> is i*d + j.  All factories validate Hermiticity
-(1e-12), unit trace (1e-10) and positivity (1e-10).
+(1e-12), unit trace (1e-10) and positivity (1e-10).  Positivity is
+certified by one stacked Cholesky factorization; eigenvalues are taken
+only of a stack it does not certify, to find the first bad state, and
+wherever they are reported: the partial transposes of ``ppt_check`` and
+``ppt_minima``, and the ``psd`` defect of ``verify_state``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .linalg import HERMITIAN_TOL, as_stack, require_hermitian
 from .operator_basis import weyl_operator
-from .reporting import VerificationReport, min_eigenvalues, worst
+from .reporting import VerificationReport, _certified_psd, min_eigenvalues, worst
 from .rng import Xoshiro256
 
 TRACE_TOL = 1e-10
@@ -45,16 +49,20 @@ def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack).min(axis=-1)
 
 
-def _check_density_matrices(rhos: np.ndarray, min_eigs: np.ndarray) -> None:
+def _check_density_matrices(rhos: np.ndarray) -> None:
     """Hermiticity, unit trace and positivity of each matrix of a (K, n, n) stack, in order.
 
-    ``min_eigs`` holds each matrix's minimum eigenvalue.  The first
-    matrix that fails a check raises the message a single matrix gives.
-    Every factory builds finite matrices, so the eigenvalues may be
-    taken before Hermiticity is known.
+    Positivity is certified for the whole stack by one stacked Cholesky
+    (:func:`mumkit.reporting._certified_psd`).  Only a stack it does not
+    certify gets its eigenvalues taken, by one eigvalsh, and then the
+    first matrix that fails a check raises the message a single matrix
+    gives.  Every factory builds finite matrices, so the eigenvalues may
+    be taken before Hermiticity is known.
     """
     defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     traces = rhos.trace(axis1=-2, axis2=-1).tolist()
+    # no matrix of a certified stack has an eigenvalue below -PSD_TOL
+    min_eigs = np.zeros(len(rhos)) if _certified_psd(rhos, PSD_TOL) else _min_eigenvalues(rhos)
     for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs.tolist())):
         if defect > HERMITIAN_TOL:
             require_hermitian(rhos[i], what="density matrix")
@@ -66,8 +74,7 @@ def _check_density_matrices(rhos: np.ndarray, min_eigs: np.ndarray) -> None:
 
 def _make_state(d: int, rho: np.ndarray) -> BipartiteState:
     state = BipartiteState(d=d, rho=rho)
-    rhos = state.rho[None]
-    _check_density_matrices(rhos, _min_eigenvalues(rhos))
+    _check_density_matrices(state.rho[None])
     return state
 
 
@@ -192,12 +199,12 @@ def ppt_minima(d: int, rhos: np.ndarray) -> np.ndarray:
     """Each state's minimum partial-transpose eigenvalue, as :func:`ppt_check` gives it.
 
     ``rhos`` is a (K, d^2, d^2) stack of finite matrices.  Each is checked in order as a
-    factory checks its state, the first that fails raising the message it would, and one
-    stacked eigvalsh covers the K states and their K partial transposes.
+    factory checks its state, the first that fails raising the message it would; their
+    positivity is certified by one Cholesky.  One stacked eigvalsh then covers the K
+    partial transposes, whose eigenvalues are the result.
     """
-    min_eigs = _min_eigenvalues(np.concatenate([rhos, _partial_transposes(d, rhos)]))
-    _check_density_matrices(rhos, min_eigs[:len(rhos)])
-    return min_eigs[len(rhos):]
+    _check_density_matrices(rhos)
+    return _min_eigenvalues(_partial_transposes(d, rhos))
 
 
 def random_pure(d: int, seed: int) -> np.ndarray:

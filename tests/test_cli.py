@@ -996,19 +996,37 @@ def test_sweep_pairing_is_resolved_per_family(tmp_path, capsys, family, pairing,
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BELL_SWEEP_D3_DIGEST
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", [
+# the commands that build a measurement set at --t
+T_COMMANDS = [
     ["gen-mums", "--d", "3"],
     ["detect", "--family", "isotropic", "--d", "3", "--alpha", "0.5"],
     ["simulate", "--family", "isotropic", "--d", "3", "--alpha", "0.5", "--shots", "10",
      "--seed", "1"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", T_COMMANDS, ids=lambda argv: argv[0])
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_non_finite_t_is_refused_as_such(capsys, command, t):
     # the message names t, not a PSD failure, and numpy warns nothing beside it
     code, stdout, err = run(capsys, command + [f"--t={t}"])
     _assert_refused(code, stdout, err)
     assert err == f"error: t must be finite, got {float(t)!r}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", T_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("t", ["1e308", "-1e308"])
+def test_overflowing_t_is_refused_without_a_warning(tmp_path, capsys, command, t):
+    # t F overflows to inf entries: the first element is named, and numpy's
+    # overflow warning does not reach stderr beside the message
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, command + [f"--t={t}", "-o", str(out)])
+    _assert_refused(code, stdout, err)
+    assert err == (f"error: measurement operator (n=1, b=1) is not PSD at t={float(t)!r} "
+                   "for d=3: min eigenvalue -inf\n")
+    assert not out.exists()
 
 
 def test_emit_figure_data_is_pure():

@@ -25,7 +25,7 @@ from mumkit import (
     verify_orthonormal_basis,
 )
 from mumkit.mum import _measurement_directions
-from mumkit.reporting import min_eigenvalues, operator_defects, worst
+from mumkit.reporting import _certified_psd, min_eigenvalues, operator_defects, worst
 
 
 def _loop_verify_mums(ms):
@@ -208,6 +208,83 @@ def test_min_eigenvalues_guards_non_finite_matrices():
     stack = np.array([np.diag([2.0, -1.0]), np.diag([np.nan, 1.0]), np.eye(2)], dtype=complex)
     assert list(min_eigenvalues(stack)) == [-1.0, -math.inf, 1.0]
     assert list(min_eigenvalues(stack[1:2])) == [-math.inf]
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _planted(rng, n, lam_min):
+    """U diag(lam) U^H for a seeded unitary U: lam_min, then n-1 weights summing to 1."""
+    lam = rng.uniform(0.0, 1.0, n)
+    lam /= lam[1:].sum()
+    lam[0] = lam_min
+    u = _unitary(rng, n)
+    return (u * lam) @ u.conj().T
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_psd_certificate_never_passes_what_eigvalsh_refuses(tol):
+    # lambda_min from -2 tol to clearly positive, the two thresholds bracketed
+    # closely: -tol (eigvalsh's) and -tol/2 (the Cholesky shift)
+    lams = [-2 * tol, -tol * (1 + 1e-6), -tol * (1 - 1e-6), -tol / 2 * (1 + 1e-3),
+            -tol / 2 * (1 - 1e-3), 0.0, tol, 1e-3]
+    rng = np.random.default_rng(17)
+    for n in range(2, 50):
+        mats = np.array([_planted(rng, n, lam) for lam in lams])
+        for lam, a in zip(lams, mats):
+            certified = _certified_psd(a[None], tol)
+            assert not certified or np.linalg.eigvalsh(a).min() >= -tol, (n, lam)
+            # a margin of tol/2 either way is far beyond the rounding error
+            if lam <= -tol * (1 - 1e-6):
+                assert not certified, (n, lam)
+            if lam >= 0.0:
+                assert certified, (n, lam)
+        # one stacked call covers every matrix: a single indefinite one fails the stack
+        assert _certified_psd(mats[5:], tol)
+        assert not _certified_psd(mats[1:], tol)
+
+
+@pytest.mark.parametrize("i, j, bad", [(0, 0, math.inf), (2, 2, math.inf), (1, 1, math.nan),
+                                       (0, 2, math.nan), (2, 0, math.nan), (0, 2, math.inf)])
+def test_psd_certificate_refuses_non_finite_entries(i, j, bad):
+    # Cholesky alone factors a lone +inf diagonal entry, and never reads the
+    # upper triangle (i < j)
+    a = np.eye(3, dtype=complex) / 3
+    a[i, j] = bad
+    assert _certified_psd(np.eye(3)[None], 1e-10)
+    assert not _certified_psd(a[None], 1e-10)
+    assert not _certified_psd(np.array([np.eye(3), a]), 1e-10)
+
+
+def _old_build_check(basis, t):
+    """build_mums's positivity check as it stood before the Cholesky certificate."""
+    d = basis.d
+    with np.errstate(over="ignore"):
+        rows = _measurement_directions(basis) * t + np.eye(d, dtype=complex) / d
+    lam = min_eigenvalues(rows.reshape(-1, d, d)).reshape(d + 1, d)
+    b, n = np.unravel_index(np.argmin(lam), lam.shape)
+    if lam[b, n] < -1e-12:
+        return str(PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n])))
+    return None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 16])
+def test_build_mums_refuses_as_the_eigenvalue_check_did(make, d):
+    basis = make(d)
+    t_max = max_valid_t(basis)
+    for t in (0.0, 0.5 * t_max, t_max, t_max * (1 + 1e-9), 1.01 * t_max, -t_max, -3 * t_max,
+              0.3, 1e308, -1e308):
+        want = _old_build_check(basis, t)
+        if want is None:
+            build_mums(basis, t)
+        else:
+            with pytest.raises(PositivityError) as err:
+                build_mums(basis, t)
+            assert str(err.value) == want, t
 
 
 # The list-of-chunks kernel and the two verifier bodies as they stood before

@@ -351,6 +351,39 @@ def test_missing_key_names_the_key_and_the_payload(payload, message):
         load(payload)
 
 
+def _v16_pair_texts(pairs):
+    """_pair_texts as it stood before it grouped pairs by lexsort: np.unique of 16-byte keys."""
+    keys, which = np.unique(pairs.view("V16").ravel(), return_inverse=True)
+    texts = [f"[{re!r}, {im!r}]" for re, im in keys.view(np.float64).reshape(-1, 2).tolist()]
+    return np.array(texts, dtype=object)[which].tolist()
+
+
+PAIR_POOLS = {
+    "signed-zeros": [0.0, -0.0, 1.0, -1.0],
+    "subnormals": [5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.0, -0.0],
+    "edge-floats": EDGE_FLOATS,
+    "all-equal": [-0.0],
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 8191, ser._BLOCK_PAIRS])
+@pytest.mark.parametrize("pool", list(PAIR_POOLS.values()), ids=list(PAIR_POOLS))
+def test_pair_texts_match_the_byte_keyed_grouping(pool, n):
+    rng = np.random.default_rng(n)
+    # a block is a row slice of the whole stack's pairs, as the encoder cuts it
+    whole = np.array(pool)[rng.integers(len(pool), size=(n + 3, 2))]
+    pairs = whole[1:n + 1]
+    texts = ser._pair_texts(pairs)
+    assert texts == _v16_pair_texts(pairs)
+    assert texts == [json.dumps(p) for p in pairs.tolist()]
+
+
+@pytest.mark.parametrize("pair", [(0.0, -0.0), (-0.0, 0.0), (5e-324, -0.0), (0.1, 1 / 3)])
+def test_pair_texts_of_an_all_equal_block(pair):
+    pairs = np.tile(pair, (ser._BLOCK_PAIRS, 1))
+    assert ser._pair_texts(pairs) == _v16_pair_texts(pairs) == [json.dumps(list(pair))] * len(pairs)
+
+
 def test_dumps_keeps_signed_zeros_apart():
     value = BasisSet(d=2, bases=[_SIGNED_ZEROS, _SIGNED_ZEROS.T, -_SIGNED_ZEROS])
     text = ser.dumps(value)

@@ -16,6 +16,7 @@ from mumkit import (
     verify_state,
     weyl_operator,
 )
+from mumkit.linalg import require_hermitian
 from mumkit.states import (
     _check_density_matrices,
     _make_state,
@@ -378,6 +379,53 @@ def test_density_checks_raise_for_the_first_bad_matrix():
                          ([bad_trace, not_psd], bad_trace)):
         want = _message(_make_state, 2, first)
         rhos = np.array(stack)
-        assert _message(_check_density_matrices, rhos, _min_eigenvalues(rhos)) == want
+        assert _message(_check_density_matrices, rhos) == want
         assert _message(ppt_minima, 2, rhos) == want
-    _check_density_matrices(good[None], _min_eigenvalues(good[None]))
+    _check_density_matrices(good[None])
+
+
+def _old_check_density_matrices(rhos, min_eigs):
+    """_check_density_matrices as it stood before the Cholesky certificate."""
+    defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
+    traces = rhos.trace(axis1=-2, axis2=-1).tolist()
+    for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs.tolist())):
+        if defect > 1e-12:
+            require_hermitian(rhos[i], what="density matrix")
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"density matrix trace {tr} is not 1")
+        if min_ev < -1e-10:
+            raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
+
+
+def _planted_state(rng, n, lam_min):
+    """A unit-trace U diag(lam) U^H with the given smallest eigenvalue, from a seeded U."""
+    lam = rng.uniform(0.0, 1.0, n)
+    lam *= (1.0 - lam_min) / lam[1:].sum()
+    lam[0] = lam_min
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rho = (q * lam) @ q.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _refusal(call, *args):
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_density_checks_refuse_as_the_eigenvalue_check_did(d):
+    rng = np.random.default_rng(40 + d)
+    lams = [0.0, 1e-3, -5e-11, -1e-10 * (1 - 1e-6), -1e-10 * (1 + 1e-6), -2e-10, -0.1]
+    for lam in lams:
+        # a PSD state, the planted one, then every spectrum again
+        rhos = np.array([_planted_state(rng, d * d, x) for x in [0.0, lam] + lams])
+        for stack in (rhos, rhos[:4]):
+            want = _refusal(_old_check_density_matrices, stack, _min_eigenvalues(stack))
+            assert _refusal(_check_density_matrices, stack) == want
+            assert _refusal(ppt_minima, d, stack) == want
+        for rho in rhos:
+            want = _refusal(_old_check_density_matrices, rho[None], _min_eigenvalues(rho[None]))
+            assert _refusal(_make_state, d, rho) == want
