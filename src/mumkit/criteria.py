@@ -101,14 +101,14 @@ def _contraction(a: np.ndarray, b: np.ndarray) -> Callable[[BipartiteState], flo
     W = sum_u A_u (x) B_u realigns to a.T @ b, so Tr(W rho) is one
     np.vdot of its conjugate with the realigned state.  A sweep pairs many
     states with one pair, and the d^2 x d^2 product is most of the cost
-    of one value.  A non-real value means a non-Hermitian input and
-    raises ValueError.
+    of one value.  A non-real value means a non-Hermitian or non-finite
+    input and raises ValueError.
     """
     w = (a.T @ b).conj()
 
     def value(state: BipartiteState) -> float:
         total = complex(np.vdot(w, _realigned(state)))
-        if abs(total.imag) > _IMAG_TOL:
+        if not abs(total.imag) <= _IMAG_TOL:
             raise ValueError(
                 f"witness contraction accumulated a non-real value (imag {total.imag:.3e}); "
                 "inputs violate Hermiticity"
@@ -262,10 +262,11 @@ def setting_distributions(
     out = []
     for b in range(state.d + 1):
         q = pset.elements[b].reshape(state.d, -1) @ r @ qset.elements[b].reshape(state.d, -1).T
-        if float(np.abs(q.imag).max()) > _IMAG_TOL:
+        # written to refuse the NaN a non-finite state leaves
+        if not float(np.abs(q.imag).max()) <= _IMAG_TOL:
             raise ValueError(f"setting {b + 1} produced complex outcome probabilities")
         q = q.real
-        if q.min() < -1e-12:
+        if not q.min() >= -1e-12:
             raise ValueError(
                 f"setting {b + 1} produced negative outcome probability {q.min():.3e}; "
                 "an upstream invariant is broken"

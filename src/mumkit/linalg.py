@@ -36,10 +36,11 @@ def as_stack(a, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
     return arr
 
 
+@np.errstate(invalid="ignore")  # a non-finite entry is refused, not warned about
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = as_matrix(a)
     defect = float(np.abs(a - a.conj().T).max())
-    if defect > HERMITIAN_TOL:
+    if not defect <= HERMITIAN_TOL:  # NaN, from a non-finite entry, refuses too
         raise ValueError(f"{what} is not Hermitian "
                          f"(max |A - A^H| = {defect:.3e} > {HERMITIAN_TOL:.3e})")
     return a

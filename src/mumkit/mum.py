@@ -26,8 +26,7 @@ import numpy as np
 
 from .linalg import as_stack
 from .operator_basis import OperatorBasis, grouped_gell_mann_basis, verify_orthonormal_basis
-from .reporting import (VerificationReport, _certified_psd, min_eigenvalues, operator_defects,
-                        worst)
+from .reporting import VerificationReport, min_eigenvalues, operator_defects, psd_minima, worst
 
 
 class PositivityError(ValueError):
@@ -107,11 +106,9 @@ def _verified(basis: OperatorBasis) -> OperatorBasis:
 def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     """Build the d+1 measurements from a verified operator basis at parameter t.
 
-    Positivity is certified by one Cholesky per family, so the
-    temporaries stay one family's size.  Only a set it does not certify
-    gets its spectra taken, by one eigvalsh, and then
-    :class:`PositivityError` reports the worst offender if any element
-    dips below -1e-12 in its spectrum.
+    Positivity is decided by one :func:`mumkit.reporting.psd_minima`
+    call over all (d+1) d elements, and :class:`PositivityError` reports
+    the worst offender if any element dips below -1e-12 in its spectrum.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
@@ -122,11 +119,10 @@ def build_mums(basis: OperatorBasis, t: float) -> MumSet:
     with np.errstate(over="ignore"):
         rows *= t
     rows += np.eye(d, dtype=complex) / d
-    if not all(_certified_psd(family, _BUILD_PSD_TOL) for family in rows):
-        lam = min_eigenvalues(rows.reshape(-1, d, d)).reshape(d + 1, d)
-        b, n = np.unravel_index(np.argmin(lam), lam.shape)
-        if lam[b, n] < -_BUILD_PSD_TOL:
-            raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
+    lam = psd_minima(rows.reshape(-1, d, d), _BUILD_PSD_TOL).reshape(d + 1, d)
+    b, n = np.unravel_index(np.argmin(lam), lam.shape)
+    if lam[b, n] < -_BUILD_PSD_TOL:
+        raise PositivityError(d, t, int(n) + 1, int(b) + 1, float(lam[b, n]))
     return MumSet(
         d=d,
         elements=rows,
@@ -179,7 +175,7 @@ def verify_mums(ms: MumSet, tol: float = 1e-9) -> VerificationReport:
         tol=tol,
         defects={
             "hermiticity": k.hermiticity,
-            "psd": max(worst(np.minimum(min_eigenvalues(f), 0.0)) for f in ms.elements),
+            "psd": worst(np.minimum(min_eigenvalues(ms.elements.reshape(-1, d, d)), 0.0)),
             "trace_one": worst(k.traces - 1.0),
             "completeness": worst(ms.elements.sum(axis=1) - eye),
             "cross_basis": k.cross,

@@ -2,7 +2,9 @@
 
 Every verifier reduces its checks to worst-case defects through the
 helpers here, and they fail closed: a non-finite entry anywhere becomes
-an ``inf`` defect, never a dropped NaN and never a LAPACK error.  The
+an ``inf`` defect, never a dropped NaN and never a LAPACK error.
+Positivity is decided here as well: :func:`psd_minima` puts one Cholesky
+in front of :func:`min_eigenvalues`, the one eigenvalue kernel.  The
 defect kernel takes a value's families as they are stored, one
 (F, k, n, n) array (an operator basis as d+1 families of d-1 elements,
 a measurement set as d+1 families of d), and checks it one family at a
@@ -42,25 +44,24 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _certified_psd(stack: np.ndarray, tol: float) -> bool:
-    """Whether each Hermitian matrix of a (k, n, n) stack has no eigenvalue below -tol.
+def psd_minima(stack: np.ndarray, tol: float) -> np.ndarray:
+    """Zeros if no matrix of a (k, n, n) Hermitian stack dips below -tol, else its minima.
 
-    One stacked ``cholesky`` of A + (tol/2) I, which succeeds only where
-    lambda_min(A) >= -tol/2 - delta, delta being its rounding error
-    (about 1e-14 for the states and measurement operators checked with
-    it), so ``eigvalsh`` would pass every matrix too.  False certifies nothing: some matrix
-    may still pass, and only its eigenvalues say which.  Like
-    ``eigvalsh``, it reads the lower triangle.  A non-finite entry gives
-    False up front, because Cholesky factors a matrix with a lone +inf
-    on its diagonal without complaint.
+    One stacked ``cholesky`` of A + (tol/2) I succeeds only where
+    lambda_min(A) >= -tol/2 - delta, delta being its rounding error (about
+    1e-14 for the states and operators checked here), so ``eigvalsh``
+    would pass every matrix too.  Otherwise the result is
+    :func:`min_eigenvalues`.  A non-finite entry is never certified:
+    Cholesky factors a lone +inf diagonal entry, and never reads the
+    upper triangle.
     """
-    if not np.isfinite(stack).all():
-        return False
-    try:
-        np.linalg.cholesky(stack + (tol / 2) * np.eye(stack.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    if np.isfinite(stack).all():
+        try:
+            np.linalg.cholesky(stack + (tol / 2) * np.eye(stack.shape[-1]))
+            return np.zeros(len(stack))
+        except np.linalg.LinAlgError:
+            pass
+    return min_eigenvalues(stack)
 
 
 @dataclass(frozen=True)

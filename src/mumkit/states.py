@@ -2,11 +2,12 @@
 
 States live on C^d (x) C^d with the first factor major: the composite
 index of |i> (x) |j> is i*d + j.  All factories validate Hermiticity
-(1e-12), unit trace (1e-10) and positivity (1e-10).  Positivity is
-certified by one stacked Cholesky factorization; eigenvalues are taken
-only of a stack it does not certify, to find the first bad state, and
-wherever they are reported: the partial transposes of ``ppt_check`` and
-``ppt_minima``, and the ``psd`` defect of ``verify_state``.
+(1e-12), unit trace (1e-10) and positivity (1e-10), and refuse a
+non-finite entry as not Hermitian.  Positivity is decided by
+:func:`mumkit.reporting.psd_minima`, and every eigenvalue reported (the
+partial transposes of ``ppt_check`` and ``ppt_minima``, the ``psd``
+defect of ``verify_state``) comes from
+:func:`mumkit.reporting.min_eigenvalues`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .linalg import HERMITIAN_TOL, as_stack, require_hermitian
 from .operator_basis import weyl_operator
-from .reporting import VerificationReport, _certified_psd, min_eigenvalues, worst
+from .reporting import VerificationReport, min_eigenvalues, psd_minima, worst
 from .rng import Xoshiro256
 
 TRACE_TOL = 1e-10
@@ -44,29 +45,24 @@ def _partial_transposes(d: int, rhos: np.ndarray) -> np.ndarray:
     return rhos.reshape(-1, d, d, d, d).transpose(0, 1, 4, 3, 2).reshape(-1, d * d, d * d)
 
 
-def _min_eigenvalues(stack: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of each Hermitian matrix of a (K, n, n) stack, by one eigvalsh."""
-    return np.linalg.eigvalsh(stack).min(axis=-1)
-
-
+@np.errstate(invalid="ignore")  # a non-finite entry is refused, not warned about
 def _check_density_matrices(rhos: np.ndarray) -> None:
     """Hermiticity, unit trace and positivity of each matrix of a (K, n, n) stack, in order.
 
-    Positivity is certified for the whole stack by one stacked Cholesky
-    (:func:`mumkit.reporting._certified_psd`).  Only a stack it does not
-    certify gets its eigenvalues taken, by one eigvalsh, and then the
-    first matrix that fails a check raises the message a single matrix
-    gives.  Every factory builds finite matrices, so the eigenvalues may
-    be taken before Hermiticity is known.
+    Positivity comes from one :func:`mumkit.reporting.psd_minima` call
+    over the whole stack, which reads -inf for a non-finite matrix and
+    does not need Hermiticity known.  The first matrix that fails a check
+    raises the message a single matrix gives.  A non-finite entry makes
+    the Hermiticity defect NaN or inf, and the comparisons refuse NaN, so
+    such a matrix fails as not Hermitian.
     """
     defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     traces = rhos.trace(axis1=-2, axis2=-1).tolist()
-    # no matrix of a certified stack has an eigenvalue below -PSD_TOL
-    min_eigs = np.zeros(len(rhos)) if _certified_psd(rhos, PSD_TOL) else _min_eigenvalues(rhos)
-    for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs.tolist())):
-        if defect > HERMITIAN_TOL:
+    min_eigs = psd_minima(rhos, PSD_TOL).tolist()
+    for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs)):
+        if not defect <= HERMITIAN_TOL:
             require_hermitian(rhos[i], what="density matrix")
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if min_ev < -PSD_TOL:
             raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
@@ -198,13 +194,13 @@ def bell_diagonal(d: int, p) -> BipartiteState:
 def ppt_minima(d: int, rhos: np.ndarray) -> np.ndarray:
     """Each state's minimum partial-transpose eigenvalue, as :func:`ppt_check` gives it.
 
-    ``rhos`` is a (K, d^2, d^2) stack of finite matrices.  Each is checked in order as a
-    factory checks its state, the first that fails raising the message it would; their
-    positivity is certified by one Cholesky.  One stacked eigvalsh then covers the K
-    partial transposes, whose eigenvalues are the result.
+    ``rhos`` is a (K, d^2, d^2) stack.  Each is checked in order as a factory checks
+    its state, the first that fails raising the message it would, so a non-finite state
+    is refused as not Hermitian.  One :func:`mumkit.reporting.min_eigenvalues` call then
+    covers the K partial transposes, whose eigenvalues are the result.
     """
     _check_density_matrices(rhos)
-    return _min_eigenvalues(_partial_transposes(d, rhos))
+    return min_eigenvalues(_partial_transposes(d, rhos))
 
 
 def random_pure(d: int, seed: int) -> np.ndarray:
@@ -281,7 +277,9 @@ def ppt_check(state: BipartiteState) -> PptResult:
     A negative result certifies entanglement for any d.  PPT implies
     separability only where the criterion is exact (the isotropic family
     and 2 (x) 2 systems); elsewhere treat a PPT verdict as a necessary
-    condition.
+    condition.  A state with a non-finite entry raises ValueError.
     """
-    min_ev = float(_min_eigenvalues(_partial_transposes(state.d, state.rho[None]))[0])
+    if not np.isfinite(state.rho).all():
+        raise ValueError("state has a non-finite entry")
+    min_ev = float(min_eigenvalues(_partial_transposes(state.d, state.rho[None]))[0])
     return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -PSD_TOL))

@@ -478,9 +478,13 @@ def test_state_file_failing_verification_exits_3(tmp_path, capsys, argv):
     assert run(capsys, ["gen-state", "--family", "max-entangled", "--d", "2",
                         "-o", str(state)])[0] == 0
     payload = json.loads(state.read_text())
-    payload["rho"]["entries"] = [[2 * re, 2 * im] for re, im in payload["rho"]["entries"]]
-    state.write_text(json.dumps(payload))
-    _refusal(capsys, argv + ["--state", str(state)], 3, "error: verification failed:")
+    entries = payload["rho"]["entries"]
+    # twice the state, and the state with a NaN off-diagonal entry (JSON NaN)
+    for bad in ([[2 * re, 2 * im] for re, im in entries],
+                [[np.nan, 0.0] if k == 1 else e for k, e in enumerate(entries)]):
+        payload["rho"]["entries"] = bad
+        state.write_text(json.dumps(payload))
+        _refusal(capsys, argv + ["--state", str(state)], 3, "error: verification failed:")
 
 
 @pytest.mark.parametrize("param, bad", [("0:1.5:0.5", "1.5"), ("-0.5:1:0.5", "-0.5")])

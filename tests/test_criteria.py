@@ -14,6 +14,7 @@ from mumkit import (
     bell_diagonal,
     conjugate_mums,
     correlation_bound,
+    correlation_criterion,
     correlation_matrix_trace,
     gell_mann_basis,
     grouped_gell_mann_basis,
@@ -472,6 +473,41 @@ def test_pure_identity_rejects_mixed_input():
     ms = optimal_mums(3)
     with pytest.raises(ValueError, match="mixed"):
         pure_identity_check(np.eye(3, dtype=complex) / 3.0, ms)
+
+
+def _nan_state():
+    rho = isotropic(2, 0.5).rho.copy()
+    rho[1, 2] = np.nan
+    return BipartiteState(2, rho)
+
+
+# unrefused, this state gives J = nan, "inconclusive" verdicts, and a shot
+# estimate of 3.0, every shot counting as a coincidence
+NAN_STATE_CALLS = {
+    "j_value": j_value,
+    "mum_criterion": mum_criterion,
+    "mub_criterion": lambda st, p, q: mub_criterion(st, mub_prime(2)),
+    "correlation_criterion": lambda st, p, q: correlation_criterion(st),
+    "setting_distributions": setting_distributions,
+    "simulate_counts": lambda st, p, q: simulate_counts(st, p, q, 100, 1),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", NAN_STATE_CALLS.values(), ids=NAN_STATE_CALLS.keys())
+def test_criteria_refuse_a_nan_state(call):
+    ms = optimal_mums(2)
+    with pytest.raises(ValueError, match="non-real value|complex outcome probabilities"):
+        call(_nan_state(), ms, conjugate_mums(ms))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0)])
+def test_pure_identity_refuses_a_nan_state(i, j):
+    pure = np.diag([1.0, 0.0]).astype(complex)
+    pure[i, j] = np.nan
+    with pytest.raises(ValueError, match="pure state is not Hermitian"):
+        pure_identity_check(pure, optimal_mums(2))
 
 
 def test_setting_distributions_normalized():

@@ -37,6 +37,12 @@ def test_trace_product_dimension_mismatch():
 def test_require_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    # a non-finite entry makes the defect NaN (or inf), which must refuse too
+    for i, j, bad in [(0, 1, np.nan), (1, 1, np.nan), (0, 0, np.inf), (1, 0, -np.inf)]:
+        a = np.eye(2, dtype=complex) / 2
+        a[i, j] = bad
+        with pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(a)
 
 
 @settings(max_examples=25, derandomize=True)

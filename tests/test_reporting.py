@@ -25,7 +25,7 @@ from mumkit import (
     verify_orthonormal_basis,
 )
 from mumkit.mum import _measurement_directions
-from mumkit.reporting import _certified_psd, min_eigenvalues, operator_defects, worst
+from mumkit.reporting import min_eigenvalues, operator_defects, psd_minima, worst
 
 
 def _loop_verify_mums(ms):
@@ -224,6 +224,15 @@ def _planted(rng, n, lam_min):
     return (u * lam) @ u.conj().T
 
 
+def _certified(stack, tol):
+    """Whether psd_minima certified the stack; else it must give min_eigenvalues' bits."""
+    lam = psd_minima(stack, tol)
+    if lam.any():
+        assert lam.tobytes() == min_eigenvalues(stack).tobytes()
+        return False
+    return True
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 def test_psd_certificate_never_passes_what_eigvalsh_refuses(tol):
     # lambda_min from -2 tol to clearly positive, the two thresholds bracketed
@@ -234,7 +243,7 @@ def test_psd_certificate_never_passes_what_eigvalsh_refuses(tol):
     for n in range(2, 50):
         mats = np.array([_planted(rng, n, lam) for lam in lams])
         for lam, a in zip(lams, mats):
-            certified = _certified_psd(a[None], tol)
+            certified = _certified(a[None], tol)
             assert not certified or np.linalg.eigvalsh(a).min() >= -tol, (n, lam)
             # a margin of tol/2 either way is far beyond the rounding error
             if lam <= -tol * (1 - 1e-6):
@@ -242,8 +251,8 @@ def test_psd_certificate_never_passes_what_eigvalsh_refuses(tol):
             if lam >= 0.0:
                 assert certified, (n, lam)
         # one stacked call covers every matrix: a single indefinite one fails the stack
-        assert _certified_psd(mats[5:], tol)
-        assert not _certified_psd(mats[1:], tol)
+        assert _certified(mats[5:], tol)
+        assert not _certified(mats[1:], tol)
 
 
 @pytest.mark.parametrize("i, j, bad", [(0, 0, math.inf), (2, 2, math.inf), (1, 1, math.nan),
@@ -253,9 +262,10 @@ def test_psd_certificate_refuses_non_finite_entries(i, j, bad):
     # upper triangle (i < j)
     a = np.eye(3, dtype=complex) / 3
     a[i, j] = bad
-    assert _certified_psd(np.eye(3)[None], 1e-10)
-    assert not _certified_psd(a[None], 1e-10)
-    assert not _certified_psd(np.array([np.eye(3), a]), 1e-10)
+    assert _certified(np.eye(3)[None], 1e-10)
+    assert not _certified(a[None], 1e-10)
+    assert not _certified(np.array([np.eye(3), a]), 1e-10)
+    assert psd_minima(np.array([np.eye(3), a]), 1e-10)[1] == -math.inf
 
 
 def _old_build_check(basis, t):

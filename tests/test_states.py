@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mumkit import (
+    BipartiteState,
     Xoshiro256,
     bell_diagonal,
     isotropic,
@@ -17,10 +18,10 @@ from mumkit import (
     weyl_operator,
 )
 from mumkit.linalg import require_hermitian
+from mumkit.reporting import min_eigenvalues
 from mumkit.states import (
     _check_density_matrices,
     _make_state,
-    _min_eigenvalues,
     _phi_plus,
     bell_diagonal_states,
     isotropic_states,
@@ -345,7 +346,40 @@ def test_stacked_isotropic_states_match_per_point(d):
 def test_stacked_eigenvalues_match_per_matrix():
     rhos = np.array([random_density(3, seed).rho for seed in range(12)])
     want = [float(np.linalg.eigvalsh(rho).min()) for rho in rhos]
-    assert _min_eigenvalues(rhos).tobytes() == np.array(want).tobytes()
+    assert min_eigenvalues(rhos).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_ppt_minima_match_per_matrix_eigvalsh(d):
+    states = [random_density(d, seed) for seed in range(4)]
+    states += [isotropic(d, 0.9), max_entangled(d), random_separable(d, 3, 70 + d)]
+    want = [np.linalg.eigvalsh(partial_transpose(st)).min() for st in states]
+    rhos = np.array([st.rho for st in states])
+    assert ppt_minima(d, rhos).tobytes() == np.array(want).tobytes()
+    got = [ppt_check(st).min_eigenvalue for st in states]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0)], ids=["diagonal", "upper", "lower"])
+def test_ppt_oracle_refuses_a_non_finite_state(monkeypatch, i, j, bad):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[i, j] = bad
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def finite_eigvalsh(a):
+        assert np.isfinite(a).all(), "an eigenvalue was taken of a non-finite matrix"
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", finite_eigvalsh)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        ppt_check(BipartiteState(2, rho))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_minima(2, rho[None])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_minima(2, np.array([np.eye(4) / 4, rho]))
 
 
 def _message(call, *args):
@@ -423,9 +457,9 @@ def test_density_checks_refuse_as_the_eigenvalue_check_did(d):
         # a PSD state, the planted one, then every spectrum again
         rhos = np.array([_planted_state(rng, d * d, x) for x in [0.0, lam] + lams])
         for stack in (rhos, rhos[:4]):
-            want = _refusal(_old_check_density_matrices, stack, _min_eigenvalues(stack))
+            want = _refusal(_old_check_density_matrices, stack, min_eigenvalues(stack))
             assert _refusal(_check_density_matrices, stack) == want
             assert _refusal(ppt_minima, d, stack) == want
         for rho in rhos:
-            want = _refusal(_old_check_density_matrices, rho[None], _min_eigenvalues(rho[None]))
+            want = _refusal(_old_check_density_matrices, rho[None], min_eigenvalues(rho[None]))
             assert _refusal(_make_state, d, rho) == want
