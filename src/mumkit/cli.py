@@ -72,7 +72,11 @@ class VerificationFailure(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for figure-data sweeps."""
+    """Grid description for figure-data sweeps; every check is made on construction.
+
+    ``kappa`` ("optimal", a number or its text) is stored resolved, and
+    refused (ValueError) outside [1/d, 1] as t_from_kappa refuses it.
+    """
 
     family: str
     d: int
@@ -104,6 +108,12 @@ class SweepSpec:
         elif self.pairing not in pairings:
             raise CliError(f"{self.family} sweeps support pairing {' or '.join(pairings)}, "
                            f"got {self.pairing!r}")
+        kappa = optimal_kappa(self.d) if self.kappa == "optimal" else float(self.kappa)
+        t_from_kappa(self.d, kappa)
+        object.__setattr__(self, "kappa", kappa)
+        lo = 1.0 / self.d ** 2
+        if self.family == "bell-diagonal" and (self.start < lo - 1e-12 or self.stop > 1.0 + 1e-12):
+            raise CliError(f"bell-diagonal parameter must lie in [1/d^2, 1] = [{lo!r}, 1]")
 
     def _points(self) -> float:
         """The grid's point count, inf when the span over the step overflows."""
@@ -113,14 +123,6 @@ class SweepSpec:
         if self.start == self.stop:
             return [self.start]
         return [self.start + i * self.step for i in range(int(self._points()))]
-
-    def resolve_kappa(self) -> float:
-        """The sweep's purity, refused (ValueError) outside [1/d, 1] as t_from_kappa refuses it."""
-        if self.kappa == "optimal":
-            return optimal_kappa(self.d)
-        kappa = float(self.kappa)
-        t_from_kappa(self.d, kappa)
-        return kappa
 
 
 def _basis_for(d: int, layout: str):
@@ -157,8 +159,7 @@ def emit_figure_data(spec: SweepSpec) -> str:
     Bell-diagonal sweeps it is the lower bound c kappa (d+1) that the
     bell-choice pairing guarantees.
     """
-    d = spec.d
-    kappa = spec.resolve_kappa()
+    d, kappa = spec.d, spec.kappa
     bound = 1.0 + kappa
     rows = ["family,d,kappa,param,value,bound,verdict,ppt_min_eig"]
     grid = spec.grid()
@@ -168,8 +169,6 @@ def emit_figure_data(spec: SweepSpec) -> str:
         bad = [alpha for alpha in grid if not (0.0 <= alpha <= 1.0 + 1e-12)]
         if bad:
             raise CliError(f"isotropic parameter must lie in [0, 1], got {bad[0]!r}")
-    elif spec.start < 1.0 / d ** 2 - 1e-12 or spec.stop > 1.0 + 1e-12:
-        raise CliError(f"bell-diagonal parameter must lie in [1/d^2, 1] = [{1.0 / d ** 2!r}, 1]")
     block = max(1, _SWEEP_BLOCK_ENTRIES // d ** 4)
     for start in range(0, len(grid), block):
         params = grid[start:start + block]
@@ -230,23 +229,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("gen-mums", help="emit a measurement set as JSON")
     p.add_argument("--d", type=int, required=True)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--kappa", type=float, default=None)
-    g.add_argument("--t", type=float, default=None)
-    g.add_argument("--max-t", action="store_true")
+    _add_purity_args(p)
     p.add_argument("--layout", choices=("plain", "grouped"), default="grouped")
     add_output(p)
 
     p = sub.add_parser("gen-state", help="emit a bipartite state as JSON")
-    p.add_argument("--family", required=True,
-                   choices=("isotropic", "bell-diagonal", "max-entangled", "random-separable"))
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--p", default=None, help="JSON file with a d x d probability grid")
-    p.add_argument("--seed", dest="state_seed", type=int, default=None)
-    p.add_argument("--k", type=int, default=None,
-                   help="product terms for random-separable (default 8)")
-    p.set_defaults(state=None, state_seed_flag="--seed")
+    _add_state_args(p, from_file=False)
     add_output(p)
 
     p = sub.add_parser("verify", help="verify a generated JSON artifact")
@@ -256,10 +244,7 @@ def _build_parser() -> _Parser:
     _add_state_args(p)
     p.add_argument("--criterion", choices=("mum", "mub", "correlation"), default="mum")
     p.add_argument("--pairing", choices=("self", "conjugate", "bell-choice"), default=None)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--kappa", type=float, default=None)
-    g.add_argument("--t", type=float, default=None)
-    g.add_argument("--max-t", action="store_true")
+    _add_purity_args(p)
     add_output(p)
 
     p = sub.add_parser("sweep", help="emit figure data over a parameter grid")
@@ -273,9 +258,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="finite-shot estimate of J")
     _add_state_args(p, state_seed_flag="--state-seed")
     p.add_argument("--pairing", choices=("self", "conjugate"), default="conjugate")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--kappa", type=float, default=None)
-    g.add_argument("--t", type=float, default=None)
+    _add_purity_args(p, max_t=False)
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="shot sampling seed")
     add_output(p)
@@ -287,18 +270,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _add_state_args(p, state_seed_flag: str = "--seed"):
-    p.add_argument("--state", default=None, help="state JSON file")
-    p.add_argument("--family", default=None,
+def _add_purity_args(p, max_t: bool = True):
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--kappa", type=float, default=None)
+    g.add_argument("--t", type=float, default=None)
+    if max_t:
+        g.add_argument("--max-t", action="store_true")
+
+
+def _add_state_args(p, state_seed_flag: str = "--seed", from_file: bool = True):
+    """The flags that name a state; without ``from_file``, no --state and --family, --d required."""
+    if from_file:
+        p.add_argument("--state", default=None, help="state JSON file")
+    p.add_argument("--family", default=None, required=not from_file,
                    choices=("isotropic", "bell-diagonal", "max-entangled", "random-separable"))
-    p.add_argument("--d", type=int, default=None)
+    p.add_argument("--d", type=int, default=None, required=not from_file)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--p", default=None, help="JSON file with a d x d probability grid")
     p.add_argument(state_seed_flag, dest="state_seed", type=int, default=None,
                    help="seed for random state families")
     p.add_argument("--k", type=int, default=None,
                    help="product terms for random-separable (default 8)")
-    p.set_defaults(state_seed_flag=state_seed_flag)
+    p.set_defaults(state=None, state_seed_flag=state_seed_flag)
 
 
 def _load_p_grid(path: str, d: int) -> np.ndarray:
@@ -306,6 +299,13 @@ def _load_p_grid(path: str, d: int) -> np.ndarray:
     if p.shape != (d, d):
         raise CliError(f"probability grid in {path} must be {d} x {d}, got {p.shape}")
     return p
+
+
+def _refuse_ignored(source: str, given: dict, takes: tuple[str, ...] = ()) -> None:
+    """Refuse the first flag of ``given`` that is set (not None) and not among ``takes``."""
+    for flag, value in given.items():
+        if value is not None and flag not in takes:
+            raise CliError(f"{source} does not take {flag}")
 
 
 def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
@@ -321,9 +321,7 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
         source = f"--family {args.family}"
         takes = ("--family", "--d") + {"isotropic": ("--alpha",), "bell-diagonal": ("--p",),
                                        "random-separable": (seed_flag, "--k")}.get(args.family, ())
-    for flag, value in given.items():
-        if value is not None and flag not in takes:
-            raise CliError(f"{source} does not take {flag}")
+    _refuse_ignored(source, given, takes)
     if args.state is not None:
         state = serialize.state_from_obj(serialize.load_path(args.state))
         report = verify_state(state, args.tol)
@@ -412,17 +410,16 @@ def _cmd_verify(args) -> int:
         report = verify_state(serialize.state_from_obj(payload), tol)
     else:
         raise CliError(f"unrecognized payload in {args.file}")
-    sys.stdout.write(serialize.dumps(serialize.verification_report_to_obj(report)))
+    _write(serialize.iterencode(serialize.verification_report_to_obj(report)), None)
     return 0 if report.passed else 3
 
 
 def _cmd_detect(args) -> int:
     if args.criterion != "mum":
         # only the mum criterion builds a measurement pair
-        for flag, unset in (("--pairing", args.pairing is None), ("--kappa", args.kappa is None),
-                            ("--t", args.t is None), ("--max-t", not args.max_t)):
-            if not unset:
-                raise CliError(f"--criterion {args.criterion} does not take {flag}")
+        _refuse_ignored(f"--criterion {args.criterion}",
+                        {"--pairing": args.pairing, "--kappa": args.kappa, "--t": args.t,
+                         "--max-t": args.max_t or None})
     state, p_grid = _state_from_args(args)
     d = state.d
     if args.criterion == "mub":
@@ -438,13 +435,12 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    kappa = args.kappa if args.kappa == "optimal" else float(args.kappa)
     parts = args.param.split(":")
     if len(parts) != 3:
         raise CliError(f"--param must be start:stop:step, got {args.param!r}")
     start, stop, step = (float(x) for x in parts)
     spec = SweepSpec(family=args.family, d=args.d, start=start, stop=stop, step=step,
-                     kappa=kappa, pairing=args.pairing, tol=args.tol)
+                     kappa=args.kappa, pairing=args.pairing, tol=args.tol)
     _write((emit_figure_data(spec),), args.output)
     return 0
 
@@ -504,6 +500,8 @@ def run_cli(argv: list[str]) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
+        if not 0.0 <= args.tol < np.inf:
+            raise CliError(f"--tol must be finite and non-negative, got {args.tol!r}")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

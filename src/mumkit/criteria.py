@@ -88,7 +88,7 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
         raise ValueError(
             f"dimension mismatch: state d={state.d}, measurement sets d={pset.d}, d={qset.d}"
         )
-    if abs(pset.kappa - qset.kappa) > _KAPPA_MATCH_TOL:
+    if not abs(pset.kappa - qset.kappa) <= _KAPPA_MATCH_TOL:
         raise ValueError(
             f"measurement sets must share the purity parameter: {pset.kappa!r} vs {qset.kappa!r}"
         )
@@ -318,7 +318,7 @@ def simulate_counts(
     d = state.d
     probs = np.clip(np.reshape(dists, (d + 1, d * d)), 0.0, None)
     totals = probs.sum(axis=1)
-    off = np.abs(totals - 1.0) > tol
+    off = ~(np.abs(totals - 1.0) <= tol)
     if off.any():
         total = float(totals[off.argmax()])
         raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_stack
+from .mum import MumSet
 from .reporting import VerificationReport, worst
 
 
@@ -130,10 +131,8 @@ def projectors(bs: BasisSet) -> np.ndarray:
     return v[..., :, None] * v[..., None, :].conj()
 
 
-def mums_from_mubs(bs: BasisSet):
+def mums_from_mubs(bs: BasisSet) -> MumSet:
     """Lift a complete MUB set into rank-one projective measurements (kappa = 1)."""
-    from .mum import MumSet  # local import to avoid a cycle
-
     d = bs.d
     if bs.m != d + 1:
         raise ValueError(f"need d+1 = {d + 1} bases to form a complete measurement set, got {bs.m}")

@@ -205,7 +205,7 @@ def rotate_mums(ms: MumSet, u: np.ndarray) -> MumSet:
     u = np.asarray(u, dtype=complex)
     if u.shape != (ms.d, ms.d):
         raise ValueError(f"unitary must be {ms.d} x {ms.d}, got {u.shape}")
-    if float(np.abs(u.conj().T @ u - np.eye(ms.d)).max()) > 1e-10:
+    if not float(np.abs(u.conj().T @ u - np.eye(ms.d)).max()) <= 1e-10:
         raise ValueError("rotation matrix is not unitary")
     uh = u.conj().T
     return _map_mums(ms, lambda a: u @ a @ uh)

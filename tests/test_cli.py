@@ -14,7 +14,7 @@ from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropi
 from mumkit import correlation_criterion, max_entangled
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
-from mumkit.cli import SweepSpec, _build_parser, emit_figure_data, run_cli
+from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
 def run(capsys, argv):
@@ -461,6 +461,16 @@ def test_state_flags_the_state_ignores_are_refused(tmp_path, capsys, argv, flag)
     code, stdout, err = run(capsys, argv + ["-o", str(out)])
     assert code == 2 and stdout == "" and not out.exists()
     assert err == f"error: {source} does not take {flag}\n"
+
+
+def test_gen_state_takes_no_state_file_and_needs_family_and_d(tmp_path, capsys):
+    state = str(tmp_path / "state.json")
+    _refusal(capsys, ["gen-state", "--family", "isotropic", "--d", "2", "--alpha", "0.3",
+                      "--state", state], 2, f"error: unrecognized arguments: --state {state}")
+    for argv, missing in [([], "--family, --d"), (["--d", "2"], "--family"),
+                          (["--family", "max-entangled"], "--d")]:
+        err = _refusal(capsys, ["gen-state", *argv], 2, "error:")
+        assert err == f"error: the following arguments are required: {missing}\n"
 
 
 def test_random_separable_k_defaults_to_8(capsys):
@@ -938,6 +948,28 @@ def test_sweep_refuses_kappa_outside_its_range(tmp_path, capsys, family, kappa):
     assert err.startswith("error: kappa must lie in [1/3, 1]") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+@pytest.mark.parametrize("kappa, resolved", [("optimal", optimal_kappa(3)), ("0.5", 0.5), (1, 1.0)])
+def test_sweep_spec_holds_the_resolved_kappa(family, kappa, resolved):
+    spec = SweepSpec(family=family, d=3, start=0.5, stop=1.0, step=0.25, kappa=kappa)
+    assert type(spec.kappa) is float and spec.kappa == resolved
+
+
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+@pytest.mark.parametrize("kappa", ["5", "nan", 0.3, -1.0])
+def test_sweep_spec_refuses_kappa_outside_its_range(family, kappa):
+    with pytest.raises(ValueError, match=r"^kappa must lie in \[1/3, 1\], got "):
+        SweepSpec(family=family, d=3, start=0.5, stop=1.0, step=0.25, kappa=kappa)
+
+
+@pytest.mark.parametrize("start, stop", [(0.05, 1.0), (0.5, 1.5)])
+def test_sweep_spec_refuses_a_bell_range_outside_one_over_d_squared_to_1(start, stop):
+    with pytest.raises(CliError) as info:
+        SweepSpec(family="bell-diagonal", d=3, start=start, stop=stop, step=0.05)
+    assert str(info.value) == ("bell-diagonal parameter must lie in [1/d^2, 1] = "
+                               f"[{1.0 / 9.0!r}, 1]")
+
+
 @pytest.mark.parametrize("kappa", [repr(1.0 / 3.0), "1"])
 def test_bell_sweep_accepts_kappa_at_its_range_ends(capsys, kappa):
     code, out, _ = run(capsys, ["sweep", "--family", "bell-diagonal", "--d", "3",
@@ -1219,6 +1251,33 @@ def test_tol_reaches_state_file_checks(tmp_path, capsys):
     code, stdout, err = run(capsys, ["detect", "--state", path])
     assert (code, stdout) == (3, "")
     assert err.startswith("error: verification failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["detect", "--family", "isotropic", "--d", "3", "--alpha", "0"],
+    ["sweep", "--family", "isotropic", "--d", "2", "--param", "0:0.2:0.1"],
+    ["verify", "MUMS"],
+    ["simulate", "--family", "isotropic", "--d", "3", "--alpha", "0.5", "--shots", "10",
+     "--seed", "1"],
+], ids=lambda argv: argv[0])
+def test_tol_outside_0_inf_is_refused_before_any_output(tmp_path, capsys, argv, tol):
+    mums = tmp_path / "m.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(mums)])[0] == 0
+    argv = [str(mums) if arg == "MUMS" else arg for arg in argv]
+    out = tmp_path / "out.txt"
+    output = [] if argv[0] == "verify" else ["-o", str(out)]
+    err = _refusal(capsys, [f"--tol={tol}", *argv, *output], 2, "error: --tol")
+    assert err == f"error: --tol must be finite and non-negative, got {float(tol)!r}\n"
+    assert not out.exists()
+
+
+def test_tol_keeps_argparse_message_for_text_and_accepts_0(capsys):
+    _refusal(capsys, ["--tol", "abc", "detect", "--family", "max-entangled", "--d", "3"], 2,
+             "error: argument --tol: invalid float value: 'abc'")
+    code, stdout, _ = run(capsys, ["--tol", "0", "detect", "--family", "isotropic", "--d", "3",
+                                   "--alpha", "0"])
+    assert code == 0 and json.loads(stdout)["verdict"] == "inconclusive"
 
 
 @pytest.mark.parametrize("argv, builder", [

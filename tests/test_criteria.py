@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 
@@ -619,6 +620,19 @@ def test_simulate_counts_checks_sums_at_tol():
                         str(info.value))
     est = simulate_counts(off, ms, conjugate_mums(ms), 10, seed=1, tol=1e-6)
     assert [int(g.sum()) for g in est.counts] == [10, 10, 10]
+
+
+def test_simulate_counts_refuses_a_nan_tol():
+    ms = optimal_mums(3)
+    with pytest.raises(ValueError, match="outcome probabilities sum to"):
+        simulate_counts(isotropic(3, 0.5), ms, conjugate_mums(ms), 10, 1, tol=np.nan)
+
+
+def test_mum_criterion_refuses_a_nan_kappa():
+    ms = optimal_mums(3)
+    qset = dataclasses.replace(conjugate_mums(ms), kappa=np.nan)
+    with pytest.raises(ValueError, match="must share the purity parameter"):
+        mum_criterion(max_entangled(3), ms, qset)
 
 
 def test_mub_lift_reduction_to_i_m():

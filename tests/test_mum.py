@@ -264,6 +264,11 @@ def test_rotate_rejects_non_unitary():
         rotate_mums(optimal_mums(2), np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_rotate_rejects_a_nan_matrix():
+    with pytest.raises(ValueError, match="not unitary"):
+        rotate_mums(optimal_mums(3), np.full((3, 3), np.nan))
+
+
 @pytest.mark.parametrize("make", [lambda: optimal_mums(3), lambda: mums_from_mubs(mub_prime(3))])
 def test_pure_state_probability_square_sum(make):
     ms = make()
