@@ -108,7 +108,8 @@ class SweepSpec:
         elif self.pairing not in pairings:
             raise CliError(f"{self.family} sweeps support pairing {' or '.join(pairings)}, "
                            f"got {self.pairing!r}")
-        kappa = optimal_kappa(self.d) if self.kappa == "optimal" else float(self.kappa)
+        kappa = optimal_kappa(self.d) if self.kappa == "optimal" else _number(
+            self.kappa, f"--kappa must be a number or 'optimal', got {self.kappa!r}")
         t_from_kappa(self.d, kappa)
         object.__setattr__(self, "kappa", kappa)
         lo = 1.0 / self.d ** 2
@@ -123,6 +124,14 @@ class SweepSpec:
         if self.start == self.stop:
             return [self.start]
         return [self.start + i * self.step for i in range(int(self._points()))]
+
+
+def _number(text, refusal: str) -> float:
+    """``text`` as a float, else CliError(refusal), which names the flag it came from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise CliError(refusal) from None
 
 
 def _basis_for(d: int, layout: str):
@@ -438,7 +447,8 @@ def _cmd_sweep(args) -> int:
     parts = args.param.split(":")
     if len(parts) != 3:
         raise CliError(f"--param must be start:stop:step, got {args.param!r}")
-    start, stop, step = (float(x) for x in parts)
+    start, stop, step = (_number(x, f"--param start, stop and step must be numbers, "
+                                    f"got {args.param!r}") for x in parts)
     spec = SweepSpec(family=args.family, d=args.d, start=start, stop=stop, step=step,
                      kappa=args.kappa, pairing=args.pairing, tol=args.tol)
     _write((emit_figure_data(spec),), args.output)
@@ -468,7 +478,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle_ppt(args) -> int:
     state, _ = _state_from_args(args)
-    result = ppt_check(state)
+    # a state file is checked at the --tol it was verified with, a factory's state as made
+    result = ppt_check(state, None if args.state is None else args.tol)
     obj = {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
     _write(serialize.iterencode(obj), args.output)
     return 0

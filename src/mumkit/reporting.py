@@ -33,11 +33,14 @@ def worst(values) -> float:
 def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix in a (k, n, n) stack.
 
-    One batched ``eigvalsh`` call.  A matrix with a non-finite entry gets
-    -inf without reaching LAPACK, which would fail on it ("Eigenvalues
-    did not converge").
+    One batched ``eigvalsh`` call, on the stack itself when every matrix
+    is finite.  Otherwise a matrix with a non-finite entry gets -inf
+    without reaching LAPACK, which would fail on it ("Eigenvalues did
+    not converge"), and the finite ones are copied out for the call.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
+    if finite.all():
+        return np.linalg.eigvalsh(stack).min(axis=1)
     lam = np.full(len(stack), -math.inf)
     if finite.any():
         lam[finite] = np.linalg.eigvalsh(stack[finite]).min(axis=1)

@@ -29,7 +29,11 @@ Stream layout conventions used by callers:
 * uniforms are 53-bit doubles in ``[0, 1)``,
 * ``normals(n)`` consumes ``2 * ceil(n / 2)`` uniforms (Box-Muller pairs,
   the spare of an odd request is discarded),
-* ``exponentials(n)`` consumes ``n`` uniforms.
+* ``exponentials(n)`` consumes ``n`` uniforms,
+* ``states.random_separable(d, k, seed)`` reads ``k`` exponentials, then
+  ``complex_normals(2 * k * d)`` in one call: term i's first factor is
+  vector 2 i, its second 2 i + 1 (each vector's 2d normals are an even
+  request, so one call reads the uniforms that 2k calls would).
 """
 
 from __future__ import annotations

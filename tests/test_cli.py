@@ -926,6 +926,27 @@ def test_sweep_refuses_non_finite_param(capsys, param):
     assert err.startswith("error: --param") and "finite" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kappa", "abc", "--kappa must be a number or 'optimal', got 'abc'"),
+    ("--kappa", "", "--kappa must be a number or 'optimal', got ''"),
+    ("--param", "a:1:1", "--param start, stop and step must be numbers, got 'a:1:1'"),
+    ("--param", "0.5:1:", "--param start, stop and step must be numbers, got '0.5:1:'"),
+])
+def test_sweep_names_a_flag_that_is_not_a_number(tmp_path, capsys, family, flag, value, message):
+    out = tmp_path / "sweep.csv"
+    argv = {"--param": "0.5:1:0.25", "--kappa": "optimal", flag: value}
+    code, stdout, err = run(capsys, ["sweep", "--family", family, "--d", "3", "-o", str(out)]
+                            + [f"{k}={v}" for k, v in argv.items()])
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sweep_spec_names_kappa_that_is_not_a_number():
+    with pytest.raises(CliError, match="^--kappa must be a number or 'optimal', got 'abc'$"):
+        SweepSpec(family="isotropic", d=3, start=0.5, stop=1.0, step=0.25, kappa="abc")
+
+
 @pytest.mark.parametrize("param", ["0:1:1e-320", "0:1:5e-7", "0:1:1e-10", "-1e308:1e308:1"])
 def test_sweep_counts_points_before_building_the_grid(capsys, monkeypatch, param):
     def no_grid(self):

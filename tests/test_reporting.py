@@ -210,6 +210,33 @@ def test_min_eigenvalues_guards_non_finite_matrices():
     assert list(min_eigenvalues(stack[1:2])) == [-math.inf]
 
 
+def _old_min_eigenvalues(stack):
+    """min_eigenvalues as it stood before its all-finite path: eigvalsh of the finite rows."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    lam = np.full(len(stack), -math.inf)
+    if finite.any():
+        lam[finite] = np.linalg.eigvalsh(stack[finite]).min(axis=1)
+    return lam
+
+
+@pytest.mark.parametrize("n", [2, 4, 9, 16])
+def test_min_eigenvalues_match_the_finite_row_copy_bitwise(n):
+    rng = np.random.default_rng(60 + n)
+    g = rng.normal(size=(12, n, n)) + 1j * rng.normal(size=(12, n, n))
+    stack = g + g.conj().transpose(0, 2, 1)
+    assert min_eigenvalues(stack).tobytes() == _old_min_eigenvalues(stack).tobytes()
+    # and on a non-contiguous view of the same matrices
+    view = stack.transpose(0, 2, 1)
+    assert min_eigenvalues(view).tobytes() == _old_min_eigenvalues(view).tobytes()
+    for bad in (np.nan, np.inf):
+        broken = stack.copy()
+        broken[[1, 5, 11], 0, n - 1] = bad
+        lam = min_eigenvalues(broken)
+        assert lam.tobytes() == _old_min_eigenvalues(broken).tobytes()
+        assert lam[[1, 5, 11]].tolist() == [-math.inf] * 3
+        assert np.isfinite(np.delete(lam, [1, 5, 11])).all()
+
+
 def _unitary(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -20,6 +20,7 @@ from mumkit import (
 from mumkit.linalg import require_hermitian
 from mumkit.reporting import min_eigenvalues
 from mumkit.states import (
+    PptResult,
     _check_density_matrices,
     _make_state,
     _phi_plus,
@@ -255,6 +256,22 @@ def test_random_separable_matches_kron_mixture_bitwise(d):
             assert rho.tobytes() == _kron_random_separable(d, k, seed).tobytes(), (k, seed)
 
 
+def test_random_separable_draws_in_two_generator_calls(monkeypatch):
+    calls = []
+    uniforms = Xoshiro256.uniforms
+
+    def spy(self, n):
+        calls.append(n)
+        return uniforms(self, n)
+
+    monkeypatch.setattr(Xoshiro256, "uniforms", spy)
+    for d, k in ((2, 1), (3, 8), (10, 13)):
+        calls.clear()
+        random_separable(d, k, 7)
+        # k exponentials, then 2k complex d-vectors of 2d uniforms each
+        assert calls == [k, 4 * k * d], (d, k)
+
+
 def test_random_separable_needs_terms():
     with pytest.raises(ValueError, match="k=0"):
         random_separable(3, 0, 2)
@@ -380,6 +397,48 @@ def test_ppt_oracle_refuses_a_non_finite_state(monkeypatch, i, j, bad):
         ppt_minima(2, rho[None])
     with pytest.raises(ValueError, match="not Hermitian"):
         ppt_minima(2, np.array([np.eye(4) / 4, rho]))
+
+
+@pytest.mark.parametrize("i, j, match", [(0, 3, "not Hermitian"), (3, 0, "not Hermitian"),
+                                         (None, None, "trace \\(2\\+0j\\)")],
+                         ids=["upper", "lower", "trace"])
+def test_ppt_oracle_refuses_a_finite_non_state(i, j, match):
+    # eigvalsh reads only the lower triangle, and a trace is not an eigenvalue
+    rho = np.eye(4, dtype=complex) / 4
+    if i is None:
+        rho *= 2
+    else:
+        rho[i, j] = 0.5
+    for call in (lambda: ppt_check(BipartiteState(2, rho)), lambda: ppt_minima(2, rho[None]),
+                 lambda: ppt_check(BipartiteState(2, rho), state_tol=1e-6)):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def test_ppt_oracle_checks_a_loaded_state_at_its_tolerance():
+    rho = isotropic(2, 0.25).rho.copy()  # PPT: alpha <= 1/(d+1)
+    rho[0, 0] += 3e-8  # the trace is 3e-8 off
+    with pytest.raises(ValueError, match="trace"):
+        ppt_check(BipartiteState(2, rho))
+    want = float(np.linalg.eigvalsh(partial_transpose(BipartiteState(2, rho))).min())
+    assert ppt_check(BipartiteState(2, rho), state_tol=1e-6) == PptResult(want, True)
+
+
+def test_ppt_oracle_admits_what_verify_state_admits_at_its_tolerance():
+    # Hermitian within 1e-6, PSD as its Hermitian part diag(1, 0, ..., 0) is, while
+    # the matrix eigvalsh reads from the lower triangle has a -3.15e-6 eigenvalue
+    rho = np.zeros((9, 9), dtype=complex)
+    rho[0, 0] = 1.0
+    lower = np.tril_indices(8, -1)
+    rho[1:, 1:][lower] = -0.45e-6
+    rho[1:, 1:][lower[::-1]] = 0.45e-6
+    state = BipartiteState(3, rho)
+    assert verify_state(state, tol=1e-6).passed
+    assert ppt_check(state, state_tol=1e-6).min_eigenvalue == min_eigenvalues(
+        partial_transpose(state)[None])[0]
+    assert not verify_state(state, tol=1e-7).passed
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_check(state, state_tol=1e-7)
 
 
 def _message(call, *args):
