@@ -45,12 +45,12 @@ from .mum import (
 from .operator_basis import gell_mann_basis, grouped_gell_mann_basis, verify_orthonormal_basis
 from .states import (
     BipartiteState,
+    _ppt_result,
     bell_diagonal,
     bell_diagonal_states,
     isotropic,
     isotropic_states,
     max_entangled,
-    ppt_check,
     ppt_minima,
     random_separable,
     verify_state,
@@ -478,8 +478,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle_ppt(args) -> int:
     state, _ = _state_from_args(args)
-    # a state file is checked at the --tol it was verified with, a factory's state as made
-    result = ppt_check(state, None if args.state is None else args.tol)
+    rho = state.rho
+    if args.state is not None:
+        # verify_state passed the file at --tol, judging its Hermitian part
+        rho = 0.5 * (rho + rho.conj().T)
+    result = _ppt_result(state.d, rho)
     obj = {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
     _write(serialize.iterencode(obj), args.output)
     return 0

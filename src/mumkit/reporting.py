@@ -39,11 +39,10 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     not converge"), and the finite ones are copied out for the call.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
-    if finite.all():
-        return np.linalg.eigvalsh(stack).min(axis=1)
     lam = np.full(len(stack), -math.inf)
     if finite.any():
-        lam[finite] = np.linalg.eigvalsh(stack[finite]).min(axis=1)
+        rows = stack if finite.all() else stack[finite]
+        lam[finite] = np.linalg.eigvalsh(rows).min(axis=1)
     return lam
 
 

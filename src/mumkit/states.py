@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HERMITIAN_TOL, as_stack
+from .linalg import HERMITIAN_TOL, as_stack, require_hermitian
 from .operator_basis import weyl_operator
 from .reporting import VerificationReport, min_eigenvalues, psd_minima, worst
 from .rng import Xoshiro256
@@ -46,13 +46,9 @@ def _partial_transposes(d: int, rhos: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore")  # a non-finite entry is refused, not warned about
-def _check_density_matrices(rhos: np.ndarray, tol: float | None = None) -> None:
+def _check_density_matrices(rhos: np.ndarray) -> None:
     """Hermiticity, unit trace and positivity of each matrix of a (K, n, n) stack, in order.
 
-    The tolerances are the factories' (HERMITIAN_TOL, TRACE_TOL, PSD_TOL).
-    With ``tol``, the tolerance a loaded state was verified at, all three
-    are ``tol`` and positivity is that of each Hermitian part, as
-    :func:`verify_state` judges it.
     Positivity comes from one :func:`mumkit.reporting.psd_minima` call
     over the whole stack, which reads -inf for a non-finite matrix and
     does not need Hermiticity known.  The first matrix that fails a check
@@ -60,22 +56,15 @@ def _check_density_matrices(rhos: np.ndarray, tol: float | None = None) -> None:
     the Hermiticity defect NaN or inf, and the comparisons refuse NaN, so
     such a matrix fails as not Hermitian.
     """
-    adjoints = rhos.conj().swapaxes(-1, -2)
-    if tol is None:
-        herm_tol, trace_tol, psd_tol, psd_of = HERMITIAN_TOL, TRACE_TOL, PSD_TOL, rhos
-    else:
-        herm_tol = trace_tol = psd_tol = tol
-        psd_of = 0.5 * (rhos + adjoints)
-    defects = np.abs(rhos - adjoints).max(axis=(-2, -1)).tolist()
+    defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     traces = rhos.trace(axis1=-2, axis2=-1).tolist()
-    min_eigs = psd_minima(psd_of, psd_tol).tolist()
-    for defect, tr, min_ev in zip(defects, traces, min_eigs):
-        if not defect <= herm_tol:
-            raise ValueError(f"density matrix is not Hermitian "
-                             f"(max |A - A^H| = {defect:.3e} > {herm_tol:.3e})")
-        if not abs(tr - 1.0) <= trace_tol:
+    min_eigs = psd_minima(rhos, PSD_TOL).tolist()
+    for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs)):
+        if not defect <= HERMITIAN_TOL:
+            require_hermitian(rhos[i], what="density matrix")
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if min_ev < -psd_tol:
+        if min_ev < -PSD_TOL:
             raise ValueError(f"density matrix is not PSD (min eigenvalue {min_ev:.3e})")
 
 
@@ -286,20 +275,29 @@ class PptResult:
     is_ppt: bool
 
 
-def ppt_check(state: BipartiteState, state_tol: float | None = None) -> PptResult:
+def ppt_check(state: BipartiteState) -> PptResult:
     """Minimum eigenvalue of the partial transpose; PPT iff it is >= -PSD_TOL (1e-10).
 
     A negative result certifies entanglement for any d.  PPT implies
     separability only where the criterion is exact (the isotropic family
     and 2 (x) 2 systems); elsewhere treat a PPT verdict as a necessary
-    condition.  The state is checked as :func:`ppt_minima` checks it,
-    at the factories' tolerances or at ``state_tol`` (the tolerance a
-    loaded state was verified with): a state with a non-finite entry, or
-    one that is not Hermitian, of unit trace and PSD, raises ValueError.
+    condition.  The state is checked as :func:`ppt_minima` checks it: a
+    state with a non-finite entry, or one that is not Hermitian, of unit
+    trace and PSD at the factories' tolerances, raises ValueError.
     """
     if not np.isfinite(state.rho).all():
         raise ValueError("state has a non-finite entry")
-    rhos = state.rho[None]
-    _check_density_matrices(rhos, state_tol)
-    min_ev = float(min_eigenvalues(_partial_transposes(state.d, rhos))[0])
+    _check_density_matrices(state.rho[None])
+    return _ppt_result(state.d, state.rho)
+
+
+def _ppt_result(d: int, rho: np.ndarray) -> PptResult:
+    """The PPT verdict of a (d^2, d^2) Hermitian matrix, taken as given.
+
+    ``eigvalsh`` reads only the lower triangle, so ``rho`` must be Hermitian
+    as it stands: :func:`ppt_check` refuses any other, and a state file
+    verified at a looser tolerance passes its Hermitian part, the matrix
+    :func:`verify_state` judged.
+    """
+    min_ev = float(min_eigenvalues(_partial_transposes(d, rho[None]))[0])
     return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -PSD_TOL))

@@ -13,7 +13,7 @@ import pytest
 from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropic, j_value
 from mumkit import correlation_criterion, max_entangled
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
-from mumkit import OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
+from mumkit import BipartiteState, OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
 
 
@@ -1272,6 +1272,27 @@ def test_tol_reaches_state_file_checks(tmp_path, capsys):
     code, stdout, err = run(capsys, ["detect", "--state", path])
     assert (code, stdout) == (3, "")
     assert err.startswith("error: verification failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lower", "upper"])
+def test_oracle_ppt_judges_a_state_file_by_its_hermitian_part(tmp_path, capsys, sign):
+    # Hermitian within 1e-6 and Hermitian part |00><00|, a product state; eigvalsh of
+    # the partial transpose of either triangle alone would read about -1e-6
+    rho = np.zeros((9, 9), dtype=complex)
+    rho[0, 0] = 1.0
+    lower = np.tril_indices(8, -1)
+    rho[1:, 1:][lower] = -0.45e-6 * sign
+    rho[1:, 1:][lower[::-1]] = 0.45e-6 * sign
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(serialize.state_to_obj(BipartiteState(3, rho))))
+    code, stdout, err = run(capsys, ["--tol", "1e-6", "oracle-ppt", "--state", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == {"min_eigenvalue": 0.0, "is_ppt": True}
+    # the library oracle refuses the same matrix, and the CLI does at a tighter --tol
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_check(BipartiteState(3, rho))
+    code, stdout, err = run(capsys, ["--tol", "1e-7", "oracle-ppt", "--state", str(path)])
+    assert (code, stdout) == (3, "") and err.startswith("error: verification failed: ")
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
