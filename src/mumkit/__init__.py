@@ -25,7 +25,6 @@ from .criteria import (
     setting_distributions,
     simulate_counts,
 )
-from .linalg import trace_product
 from .mub import (
     BasisSet,
     CompositeDimensionError,
@@ -118,7 +117,6 @@ __all__ = [
     "simulate_counts",
     "t_from_kappa",
     "tensor_product_bases",
-    "trace_product",
     "verify_mub",
     "verify_mums",
     "verify_orthonormal_basis",

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import require_hermitian, trace_product
+from .linalg import require_hermitian
 from .mub import BasisSet, projectors, verify_mub
 from .mum import MumSet, conjugate_mums, rotate_mums
 from .operator_basis import OperatorBasis, gell_mann_basis, weyl_operator
-from .reporting import worst
 from .rng import Xoshiro256
 from .states import BipartiteState, _probability_grid
 
@@ -193,25 +192,19 @@ def correlation_criterion(state: BipartiteState, tol: float = VERDICT_TOL) -> De
                    correlation_bound(d), tol, d)
 
 
-def j_correlation_identity(
-    state: BipartiteState, pset: MumSet, basis: OperatorBasis
-) -> tuple[float, float]:
+def j_correlation_identity(state: BipartiteState, pset: MumSet) -> tuple[float, float]:
     """Both sides of J(rho, P, P) = (d+1)/d + (2(d kappa - 1)/(d-1)) Tr(T).
 
-    The measurement set must have been built from the supplied basis
-    (same elements in the same order, known t); otherwise the expansion
-    does not apply and a ValueError is raised.
+    Tr(T) is taken over the operator basis the set was built from, so a
+    set without construction provenance (t and source basis) raises
+    ValueError.
     """
     if pset.t is None or pset.source_basis is None:
         raise ValueError("measurement set does not carry construction provenance")
-    src = pset.source_basis
-    # worst() reads a non-finite entry as inf, so a NaN basis is refused too
-    if src.d != basis.d or worst(src.elements - basis.elements) > 1e-12:
-        raise ValueError("measurement set was not built from the supplied operator basis")
     d = state.d
     lhs = j_value(state, pset, pset)
     rhs = (d + 1) / d + (2.0 * (d * pset.kappa - 1.0) / (d - 1)) * correlation_matrix_trace(
-        state, basis
+        state, pset.source_basis
     )
     return lhs, rhs
 
@@ -243,7 +236,7 @@ def pure_identity_check(pure: np.ndarray, pset: MumSet) -> tuple[float, float]:
     rho = require_hermitian(pure, what="pure state")
     if rho.shape != (pset.d, pset.d):
         raise ValueError(f"pure state must be {pset.d} x {pset.d}, got {rho.shape}")
-    purity = float(trace_product(rho, rho).real)
+    purity = float(np.einsum("ij,ji->", rho, rho).real)
     if abs(purity - 1.0) > 1e-9:
         raise ValueError(f"input is mixed: Tr(rho^2) = {purity!r}")
     probs = np.einsum("kij,ji->k", pset.elements.reshape(-1, pset.d, pset.d), rho).real

@@ -45,11 +45,3 @@ def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
                          f"(max |A - A^H| = {defect:.3e} > {HERMITIAN_TOL:.3e})")
     return a
 
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without materializing the product."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch in trace_product: {a.shape} vs {b.shape}")
-    return complex(np.einsum("ij,ji->", a, b))

@@ -127,10 +127,6 @@ class VerificationReport:
     details: dict[str, float] = field(default_factory=dict)
 
     @property
-    def max_defect(self) -> float:
-        return max(self.defects.values()) if self.defects else 0.0
-
-    @property
     def passed(self) -> bool:
         return all(math.isfinite(v) and v <= self.tol for v in self.defects.values())
 

@@ -135,8 +135,7 @@ def basis_set_from_obj(obj) -> BasisSet:
     if not isinstance(obj, dict) or "bases" not in obj:
         raise ValueError("basis set payload must carry 'bases'")
     bases = [matrix_from_obj(b) for b in _list(obj["bases"], "bases")]
-    d = _int(obj["d"], "d") if "d" in obj else (bases[0].shape[0] if bases else 0)
-    return BasisSet(d=d, bases=bases)
+    return BasisSet(d=_int(_field(obj, "d", "basis set payload"), "d"), bases=bases)
 
 
 def mums_to_obj(ms: MumSet) -> dict:
@@ -172,8 +171,7 @@ def state_from_obj(obj) -> BipartiteState:
     if not isinstance(obj, dict) or "rho" not in obj:
         raise ValueError("state payload must carry 'rho'")
     rho = matrix_from_obj(obj["rho"])
-    d = _int(obj["d"], "d") if "d" in obj else round(np.sqrt(rho.shape[0]))
-    return BipartiteState(d=d, rho=rho)
+    return BipartiteState(d=_int(_field(obj, "d", "state payload"), "d"), rho=rho)
 
 
 def grid_from_obj(obj) -> np.ndarray:
@@ -254,8 +252,6 @@ def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
         # json's own error for the first non-finite value in document order
         json.dumps(float(pairs.ravel()[np.argmin(finite)]), allow_nan=False)
     total = len(pairs)
-    if total == 0:
-        yield joints[0]
     for start in range(0, total, _BLOCK_PAIRS):
         stop = min(start + _BLOCK_PAIRS, total)
         texts = _pair_texts(pairs[start:stop])
@@ -267,9 +263,8 @@ def _stack_text(stack: np.ndarray, joints: list[str]) -> Iterator[str]:
             pieces.append(joints[j] if r == 0 else ", ")
             pieces.append(", ".join(texts[pos - start:end - start]))
             pos = end
-        if stop == total:
-            pieces.append(joints[-1])
         yield "".join(pieces)
+    yield joints[-1]
 
 
 # The one array of each value object; its matrices, in row-major order of

@@ -79,14 +79,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=1)
 def _phi_plus(d: int) -> np.ndarray:
-    """|Phi+><Phi+| for |Phi+> = (1/sqrt(d)) sum_i |ii>, built once per d, read-only."""
+    """|Phi+><Phi+| for |Phi+> = (1/sqrt(d)) sum_i |ii>."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     v = np.zeros(d * d, dtype=complex)
     v[::d + 1] = 1.0 / np.sqrt(d)
-    return _read_only(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 @functools.lru_cache(maxsize=1)
@@ -116,7 +115,7 @@ def _bell_terms(d: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 def max_entangled(d: int) -> BipartiteState:
     """Projector onto (1/sqrt(d)) sum_i |ii>."""
-    return _make_state(d, _phi_plus(d).copy())
+    return _make_state(d, _phi_plus(d))
 
 
 def isotropic_states(d: int, alphas) -> np.ndarray:

@@ -591,6 +591,11 @@ MALFORMED_PAYLOADS = {
                   "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 2] * 3},
     "mums-no-kappa": {"d": 2, "t": None,
                       "elements": [[{"dim": 2, "entries": [[0.5, 0.0]] * 4}] * 2] * 3},
+    # a state without d took d from its dim (so this one passed verify), and an
+    # empty basis set without d loaded as d = 0
+    "state-no-d": {"rho": {"dim": 4, "entries": ([[0.25, 0.0]] + [[0.0, 0.0]] * 4) * 3
+                                                + [[0.25, 0.0]]}},
+    "mub-no-d": {"bases": []},
     "basis-item-no-n": [{"b": 1, "matrix": {"dim": 2, "entries": [[0.0, 0.0]] * 4}}] * 3,
     "basis-item-no-b": [{"n": 1, "matrix": {"dim": 2, "entries": [[0.0, 0.0]] * 4}}] * 3,
     "basis-item-no-matrix": [{"n": 1, "b": 1}] * 3,
@@ -623,6 +628,8 @@ def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
                              "block rule b = i div (d-1) + 1, n = i mod (d-1) + 1 gives (1, 1)\n"),
     ("mums-no-d", "error: measurement set payload is missing the key 'd'\n"),
     ("mums-no-kappa", "error: measurement set payload is missing the key 'kappa'\n"),
+    ("state-no-d", "error: state payload is missing the key 'd'\n"),
+    ("mub-no-d", "error: basis set payload is missing the key 'd'\n"),
     ("basis-item-no-n", "error: operator basis item 0 is missing the key 'n'\n"),
     ("basis-item-no-b", "error: operator basis item 0 is missing the key 'b'\n"),
     ("basis-item-no-matrix", "error: operator basis item 0 is missing the key 'matrix'\n"),

@@ -19,10 +19,15 @@ from mumkit import (
     random_pure,
     rotate_mums,
     t_from_kappa,
-    trace_product,
     verify_mums,
     weyl_operator,
 )
+
+
+def trace_product(a, b):
+    """Tr(a @ b) without forming the product, as one einsum."""
+    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+
 
 T_STAR_D3 = 1.0 / (3.0 * (1.0 + np.sqrt(3.0)))  # gives kappa = 5/9
 

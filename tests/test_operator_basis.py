@@ -7,11 +7,16 @@ from mumkit import (
     OperatorBasis,
     gell_mann_basis,
     grouped_gell_mann_basis,
-    trace_product,
     verify_orthonormal_basis,
     weyl_operator,
 )
 from mumkit.operator_basis import measurement_layout
+
+
+def trace_product(a, b):
+    """Tr(a @ b) without forming the product, as one einsum."""
+    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+
 
 SQ2 = np.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

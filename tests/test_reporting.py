@@ -19,13 +19,17 @@ from mumkit import (
     mums_from_mubs,
     optimal_kappa,
     t_from_kappa,
-    trace_product,
     verify_mub,
     verify_mums,
     verify_orthonormal_basis,
 )
 from mumkit.mum import _measurement_directions
 from mumkit.reporting import min_eigenvalues, operator_defects, psd_minima, worst
+
+
+def trace_product(a, b):
+    """Tr(a @ b) without forming the product, as one einsum."""
+    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
 def _loop_verify_mums(ms):

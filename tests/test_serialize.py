@@ -351,6 +351,27 @@ def test_missing_key_names_the_key_and_the_payload(payload, message):
         load(payload)
 
 
+def _without_d(payload):
+    del payload["d"]
+    return payload
+
+
+@pytest.mark.parametrize("payload, load, message", [
+    # a 4 x 4 state loaded as d = 2, and a 5 x 5 one was refused as "a state for d=2"
+    (_without_d(ser.state_to_obj(isotropic(2, 0.5))), ser.state_from_obj,
+     "state payload is missing the key 'd'"),
+    ({"rho": ser.matrix_to_obj(np.eye(5) / 5)}, ser.state_from_obj,
+     "state payload is missing the key 'd'"),
+    (_without_d(ser.basis_set_to_obj(mub_prime(3))), ser.basis_set_from_obj,
+     "basis set payload is missing the key 'd'"),
+    # an empty list of bases loaded as d = 0
+    ({"bases": []}, ser.basis_set_from_obj, "basis set payload is missing the key 'd'"),
+], ids=["state", "state-5x5", "basis-set", "basis-set-empty"])
+def test_loaders_require_d(payload, load, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load(payload)
+
+
 def _v16_pair_texts(pairs):
     """_pair_texts as it stood before it grouped pairs by lexsort: np.unique of 16-byte keys."""
     keys, which = np.unique(pairs.view("V16").ravel(), return_inverse=True)
