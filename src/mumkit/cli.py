@@ -72,10 +72,13 @@ class VerificationFailure(Exception):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for figure-data sweeps; every check is made on construction.
+    """Grid description for figure-data sweeps; construction checks all but ``tol``.
 
     ``kappa`` ("optimal", a number or its text) is stored resolved, and
     refused (ValueError) outside [1/d, 1] as t_from_kappa refuses it.
+    Two checks come later, in :func:`emit_figure_data`: an isotropic grid
+    point outside [0, 1], and an isotropic sweep's purity that no
+    measurement set at this d reaches (PositivityError from the build).
     """
 
     family: str
@@ -336,7 +339,8 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
         report = verify_state(state, args.tol)
         if not report.passed:
             raise VerificationFailure(report.summary())
-        return state, None
+        # every command reads the matrix verify_state judged: the file's Hermitian part
+        return BipartiteState(state.d, 0.5 * (state.rho + state.rho.conj().T)), None
     d = args.d
     if args.family == "isotropic":
         if args.alpha is None:
@@ -478,11 +482,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle_ppt(args) -> int:
     state, _ = _state_from_args(args)
-    rho = state.rho
-    if args.state is not None:
-        # verify_state passed the file at --tol, judging its Hermitian part
-        rho = 0.5 * (rho + rho.conj().T)
-    result = _ppt_result(state.d, rho)
+    result = _ppt_result(state.d, state.rho)
     obj = {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
     _write(serialize.iterencode(obj), args.output)
     return 0

@@ -26,6 +26,7 @@ lower bound, and a finite-shot estimator of J.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -101,7 +102,7 @@ def _contraction(a: np.ndarray, b: np.ndarray) -> Callable[[BipartiteState], flo
     np.vdot of its conjugate with the realigned state.  A sweep pairs many
     states with one pair, and the d^2 x d^2 product is most of the cost
     of one value.  A non-real value means a non-Hermitian or non-finite
-    input and raises ValueError.
+    input and raises ValueError, which names the cause.
     """
     w = (a.T @ b).conj()
 
@@ -110,8 +111,8 @@ def _contraction(a: np.ndarray, b: np.ndarray) -> Callable[[BipartiteState], flo
         if not abs(total.imag) <= _IMAG_TOL:
             raise ValueError(
                 f"witness contraction accumulated a non-real value (imag {total.imag:.3e}); "
-                "inputs violate Hermiticity"
-            )
+                + ("inputs violate Hermiticity" if math.isfinite(total.imag)
+                   else "an input has a non-finite entry"))
         return float(total.real)
 
     return value
@@ -256,8 +257,10 @@ def setting_distributions(
     for b in range(state.d + 1):
         q = pset.elements[b].reshape(state.d, -1) @ r @ qset.elements[b].reshape(state.d, -1).T
         # written to refuse the NaN a non-finite state leaves
-        if not float(np.abs(q.imag).max()) <= _IMAG_TOL:
-            raise ValueError(f"setting {b + 1} produced complex outcome probabilities")
+        worst_imag = float(np.abs(q.imag).max())
+        if not worst_imag <= _IMAG_TOL:
+            cause = "" if math.isfinite(worst_imag) else "; an input has a non-finite entry"
+            raise ValueError(f"setting {b + 1} produced complex outcome probabilities{cause}")
         q = q.real
         if not q.min() >= -1e-12:
             raise ValueError(

@@ -7,7 +7,7 @@ for a payload of the wrong shape or JSON type.
 
 :func:`dumps` and :func:`iterencode` take the value objects (operator
 basis, basis set, measurement set, state) directly.  Each payload's
-layout is written once: the ``*_to_obj`` functions fill its matrix slots
+layout is written once: :func:`value_to_obj` fills its matrix slots
 with :func:`matrix_to_obj`, and the encoder writes the text around the
 slots from the same layout and each matrix's entries, block by block,
 from a table of the block's distinct ``[re, im]`` pairs.
@@ -103,8 +103,9 @@ def _payload(value, matrix: Callable[[np.ndarray], object]):
     return {"d": int(value.d), "rho": matrix(value.rho)}
 
 
-def operator_basis_to_obj(basis: OperatorBasis) -> list:
-    return _payload(basis, matrix_to_obj)
+def value_to_obj(value):
+    """The JSON object of an operator basis, basis set, measurement set or state."""
+    return _payload(value, matrix_to_obj)
 
 
 def operator_basis_from_obj(obj) -> OperatorBasis:
@@ -127,19 +128,11 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
     return basis
 
 
-def basis_set_to_obj(bs: BasisSet) -> dict:
-    return _payload(bs, matrix_to_obj)
-
-
 def basis_set_from_obj(obj) -> BasisSet:
     if not isinstance(obj, dict) or "bases" not in obj:
         raise ValueError("basis set payload must carry 'bases'")
     bases = [matrix_from_obj(b) for b in _list(obj["bases"], "bases")]
     return BasisSet(d=_int(_field(obj, "d", "basis set payload"), "d"), bases=bases)
-
-
-def mums_to_obj(ms: MumSet) -> dict:
-    return _payload(ms, matrix_to_obj)
 
 
 def mums_from_obj(obj) -> MumSet:
@@ -161,10 +154,6 @@ def mums_from_obj(obj) -> MumSet:
         kappa=_float(_field(obj, "kappa", "measurement set payload"), "kappa"),
         t=t,
     )
-
-
-def state_to_obj(state: BipartiteState) -> dict:
-    return _payload(state, matrix_to_obj)
 
 
 def state_from_obj(obj) -> BipartiteState:
@@ -300,7 +289,7 @@ def dumps(value) -> str:
     """Strict JSON text of a value object or a plain JSON object, newline-terminated.
 
     For an operator basis, basis set, measurement set or state this is
-    ``json.dumps`` of its ``*_to_obj`` payload; a NaN or infinite float
+    ``json.dumps(value_to_obj(value))``; a NaN or infinite float
     raises ValueError, never a bare token.
     """
     return "".join(iterencode(value))

@@ -198,6 +198,28 @@ def test_detect_report_bytes_are_frozen(capsys, argv):
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_DETECT[argv]
 
 
+# SHA-256 of stdout on the `gen-state --family random-separable --d 3 --k 3
+# --seed 11` file, whose matrix is not bitwise Hermitian, frozen before a
+# --state file stood for its Hermitian part
+FROZEN_STATE_FILE_OUTPUT = {
+    ("detect",): "492731f52b69c4133985b385d472cc5e2e394523637d5f891f26173dbabcee7e",
+    ("simulate", "--shots", "100", "--seed", "3"):
+        "8697d51232b0e6d6ebc7ad51cd54ef688e019670b8e9e5ba7d4dfe11e2519486",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_STATE_FILE_OUTPUT), ids=" ".join)
+def test_state_file_output_bytes_are_frozen(tmp_path, capsys, argv):
+    path = str(tmp_path / "state.json")
+    assert run(capsys, ["gen-state", "--family", "random-separable", "--d", "3", "--k", "3",
+                        "--seed", "11", "-o", path])[0] == 0
+    rho = serialize.state_from_obj(serialize.load_path(path)).rho
+    assert (rho != rho.conj().T).any()
+    code, stdout, err = run(capsys, [*argv, "--state", path])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_STATE_FILE_OUTPUT[argv]
+
+
 def test_gen_state_bell_diagonal_round_trip(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     p_file.write_text(json.dumps(BELL_GRID_D3))
@@ -1291,10 +1313,19 @@ def test_oracle_ppt_judges_a_state_file_by_its_hermitian_part(tmp_path, capsys, 
     rho[1:, 1:][lower] = -0.45e-6 * sign
     rho[1:, 1:][lower[::-1]] = 0.45e-6 * sign
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(serialize.state_to_obj(BipartiteState(3, rho))))
+    path.write_text(json.dumps(serialize.value_to_obj(BipartiteState(3, rho))))
     code, stdout, err = run(capsys, ["--tol", "1e-6", "oracle-ppt", "--state", str(path)])
     assert (code, err) == (0, "")
     assert json.loads(stdout) == {"min_eigenvalue": 0.0, "is_ppt": True}
+    # every command reads the same matrix: the file's Hermitian part, written out here
+    hermitian = tmp_path / "hermitian.json"
+    hermitian.write_text(json.dumps(serialize.value_to_obj(
+        BipartiteState(3, 0.5 * (rho + rho.conj().T)))))
+    for argv in (["detect", "--criterion", "mum"], ["detect", "--criterion", "mub"],
+                 ["simulate", "--shots", "10", "--seed", "1"]):
+        code, stdout, err = run(capsys, ["--tol", "1e-6", *argv, "--state", str(path)])
+        assert (code, err) == (0, ""), argv
+        assert run(capsys, ["--tol", "1e-6", *argv, "--state", str(hermitian)]) == (0, stdout, "")
     # the library oracle refuses the same matrix, and the CLI does at a tighter --tol
     with pytest.raises(ValueError, match="not Hermitian"):
         ppt_check(BipartiteState(3, rho))

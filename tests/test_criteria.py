@@ -40,10 +40,7 @@ from mumkit import (
     weyl_operator,
 )
 
-
-def trace_product(a, b):
-    """Tr(a @ b) without forming the product, as one einsum."""
-    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+from oracles import trace_product
 
 
 def j_by_explicit_kron(state, pset, qset):
@@ -505,6 +502,25 @@ def test_criteria_refuse_a_nan_state(call):
     ms = optimal_mums(2)
     with pytest.raises(ValueError, match="non-real value|complex outcome probabilities"):
         call(_nan_state(), ms, conjugate_mums(ms))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, hermiticity_message", [
+    (j_value, r"non-real value \(imag 1\.667e-02\); inputs violate Hermiticity$"),
+    (lambda st, p, q: simulate_counts(st, p, q, 100, 1),
+     r"^setting 1 produced complex outcome probabilities$"),
+], ids=["j_value", "simulate_counts"])
+def test_a_non_real_value_names_its_cause(call, hermiticity_message):
+    ms = optimal_mums(3)
+    qs = conjugate_mums(ms)
+    # (|00>, |11>) is weighed by the conjugate pairing's witness and by setting 1
+    rho = isotropic(3, 0.5).rho.copy()
+    rho[0, 4] = np.nan
+    with pytest.raises(ValueError, match="; an input has a non-finite entry$"):
+        call(BipartiteState(3, rho), ms, qs)
+    rho[0, 4] = 0.5 / 3 + 0.05j  # finite, and not Hermitian
+    with pytest.raises(ValueError, match=hermiticity_message):
+        call(BipartiteState(3, rho), ms, qs)
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,11 +23,7 @@ from mumkit import (
     weyl_operator,
 )
 
-
-def trace_product(a, b):
-    """Tr(a @ b) without forming the product, as one einsum."""
-    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-
+from oracles import trace_product
 
 T_STAR_D3 = 1.0 / (3.0 * (1.0 + np.sqrt(3.0)))  # gives kappa = 5/9
 

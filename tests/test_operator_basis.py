@@ -12,10 +12,7 @@ from mumkit import (
 )
 from mumkit.operator_basis import measurement_layout
 
-
-def trace_product(a, b):
-    """Tr(a @ b) without forming the product, as one einsum."""
-    return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+from oracles import trace_product
 
 
 SQ2 = np.sqrt(2.0)
