@@ -32,7 +32,7 @@ from .criteria import (
     mum_criterion,
     simulate_counts,
 )
-from .mub import mub_prime, verify_mub
+from .mub import BasisSet, mub_prime, verify_mub
 from .mum import (
     MumSet,
     build_mums,
@@ -42,7 +42,12 @@ from .mum import (
     t_from_kappa,
     verify_mums,
 )
-from .operator_basis import gell_mann_basis, grouped_gell_mann_basis, verify_orthonormal_basis
+from .operator_basis import (
+    OperatorBasis,
+    gell_mann_basis,
+    grouped_gell_mann_basis,
+    verify_orthonormal_basis,
+)
 from .states import (
     BipartiteState,
     _ppt_result,
@@ -184,9 +189,9 @@ def emit_figure_data(spec: SweepSpec) -> str:
     block = max(1, _SWEEP_BLOCK_ENTRIES // d ** 4)
     for start in range(0, len(grid), block):
         params = grid[start:start + block]
-        x = np.array(params)
+        x = np.minimum(params, 1.0)  # a point tolerated above 1 is built at 1
         if spec.family == "isotropic":
-            rhos = isotropic_states(d, np.minimum(x, 1.0))
+            rhos = isotropic_states(d, x)
             values = [j_of(BipartiteState(d, rho)) for rho in rhos]
         else:
             # each grid is x at (0, 0) and an equal share of 1 - x elsewhere, normalized
@@ -195,7 +200,7 @@ def emit_figure_data(spec: SweepSpec) -> str:
             p[:, 0, 0] = x
             p /= p.reshape(len(x), d * d).sum(axis=1)[:, None, None]
             rhos = bell_diagonal_states(d, p)
-            values = [c * kappa * (d + 1) for c in params]
+            values = [c * kappa * (d + 1) for c in x.tolist()]
         for param, value, ppt in zip(params, values, ppt_minima(d, rhos).tolist()):
             rows.append(_row(spec.family, d, kappa, param, value, bound, spec.tol, ppt))
     return "\n".join(rows) + "\n"
@@ -335,7 +340,9 @@ def _state_from_args(args) -> tuple[BipartiteState, np.ndarray | None]:
                                        "random-separable": (seed_flag, "--k")}.get(args.family, ())
     _refuse_ignored(source, given, takes)
     if args.state is not None:
-        state = serialize.state_from_obj(serialize.load_path(args.state))
+        state = serialize.value_from_obj(serialize.load_path(args.state))
+        if not isinstance(state, BipartiteState):
+            raise CliError(f"--state {args.state} is not a state payload")
         report = verify_state(state, args.tol)
         if not report.passed:
             raise VerificationFailure(report.summary())
@@ -410,20 +417,14 @@ def _cmd_gen_state(args) -> int:
     return 0
 
 
+_VERIFIERS = {OperatorBasis: verify_orthonormal_basis, BasisSet: verify_mub,
+              MumSet: verify_mums, BipartiteState: verify_state}
+
+
 def _cmd_verify(args) -> int:
-    payload = serialize.load_path(args.file)
-    tol = args.tol
-    if isinstance(payload, list):
-        report = verify_orthonormal_basis(serialize.operator_basis_from_obj(payload), tol)
-    elif isinstance(payload, dict) and "elements" in payload:
-        report = verify_mums(serialize.mums_from_obj(payload), tol)
-    elif isinstance(payload, dict) and "bases" in payload:
-        report = verify_mub(serialize.basis_set_from_obj(payload), tol)
-    elif isinstance(payload, dict) and "rho" in payload:
-        report = verify_state(serialize.state_from_obj(payload), tol)
-    else:
-        raise CliError(f"unrecognized payload in {args.file}")
-    _write(serialize.iterencode(serialize.verification_report_to_obj(report)), None)
+    value = serialize.value_from_obj(serialize.load_path(args.file))
+    report = _VERIFIERS[type(value)](value, args.tol)
+    _write(serialize.iterencode(report), None)
     return 0 if report.passed else 3
 
 
@@ -443,7 +444,7 @@ def _cmd_detect(args) -> int:
         pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
         qset = _pair_for(pset, args.pairing or "conjugate", p_grid)
         report = mum_criterion(state, pset, qset, tol=args.tol)
-    _write(serialize.iterencode(serialize.report_to_obj(report)), args.output)
+    _write(serialize.iterencode(report), args.output)
     return 0
 
 

@@ -185,7 +185,7 @@ def _lane_uniforms(state: tuple[int, int, int, int], n: int):
 
 
 def _splitmix64(seed: int):
-    state = seed & _MASK
+    state = seed
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK
         z = state
@@ -200,8 +200,9 @@ class Xoshiro256:
     __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        seed = operator.index(seed)
+        if not 0 <= seed <= _MASK:  # the mask would fold a larger seed onto a smaller one
+            raise ValueError("seed must be a non-negative integer below 2**64")
         sm = _splitmix64(seed)
         self._s0 = next(sm)
         self._s1 = next(sm)

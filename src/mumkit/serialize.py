@@ -2,15 +2,15 @@
 
 Matrix payloads are ``{"dim": n, "entries": [[re, im], ...]}`` row-major;
 values are written as Python's shortest round-trip representation, so
-loading reproduces every double exactly.  The loaders raise ValueError
-for a payload of the wrong shape or JSON type.
+loading reproduces every double exactly.  :func:`value_from_obj` raises
+ValueError for a payload of the wrong shape or JSON type.
 
 :func:`dumps` and :func:`iterencode` take the value objects (operator
-basis, basis set, measurement set, state) directly.  Each payload's
-layout is written once: :func:`value_to_obj` fills its matrix slots
-with :func:`matrix_to_obj`, and the encoder writes the text around the
-slots from the same layout and each matrix's entries, block by block,
-from a table of the block's distinct ``[re, im]`` pairs.
+basis, basis set, measurement set, state) and both reports directly.
+Each payload's layout is written once: :func:`value_to_obj` fills its
+matrix slots with :func:`matrix_to_obj`, and the encoder writes the text
+around the slots from the same layout and each matrix's entries, block
+by block, from a table of the block's distinct ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
@@ -89,8 +89,13 @@ def _field(obj: dict, key: str, what: str):
         raise ValueError(f"{what} is missing the key {key!r}") from None
 
 
-def _payload(value, matrix: Callable[[np.ndarray], object]):
-    """The JSON object of a value object, with each matrix ``a`` in it given by ``matrix(a)``."""
+def _finite_or_null(value) -> float | None:
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _payload(value, matrix: Callable[[np.ndarray], object] | None):
+    """The JSON object of a value object or report, each matrix ``a`` in it as ``matrix(a)``."""
     if isinstance(value, OperatorBasis):
         return [{"n": int(n), "b": int(b), "matrix": matrix(el)}
                 for (n, b), el in zip(value.labels, value.elements)]
@@ -100,16 +105,26 @@ def _payload(value, matrix: Callable[[np.ndarray], object]):
         return {"d": int(value.d), "kappa": float(value.kappa),
                 "t": None if value.t is None else float(value.t),
                 "elements": [[matrix(p) for p in row] for row in value.elements]}
-    return {"d": int(value.d), "rho": matrix(value.rho)}
+    if isinstance(value, BipartiteState):
+        return {"d": int(value.d), "rho": matrix(value.rho)}
+    if isinstance(value, DetectionReport):
+        return {"criterion": value.criterion, "value": float(value.value),
+                "bound": float(value.bound), "verdict": value.verdict,
+                "kappa": None if value.kappa is None else float(value.kappa), "d": int(value.d)}
+    if isinstance(value, VerificationReport):  # a non-finite defect or detail is null
+        return {"kind": value.kind, "tol": float(value.tol), "passed": bool(value.passed),
+                "defects": {k: _finite_or_null(v) for k, v in value.defects.items()},
+                "details": {k: _finite_or_null(v) for k, v in value.details.items()}}
+    return value  # a plain JSON object
 
 
 def value_to_obj(value):
-    """The JSON object of an operator basis, basis set, measurement set or state."""
+    """The JSON object of a value object or report, as :func:`dumps` writes it."""
     return _payload(value, matrix_to_obj)
 
 
-def operator_basis_from_obj(obj) -> OperatorBasis:
-    if not isinstance(obj, list) or not obj:
+def _operator_basis_from_obj(obj: list) -> OperatorBasis:
+    if not obj:
         raise ValueError("operator basis payload must be a non-empty list")
     elements = []
     labels = []
@@ -128,23 +143,19 @@ def operator_basis_from_obj(obj) -> OperatorBasis:
     return basis
 
 
-def basis_set_from_obj(obj) -> BasisSet:
-    if not isinstance(obj, dict) or "bases" not in obj:
-        raise ValueError("basis set payload must carry 'bases'")
+def _basis_set_from_obj(obj: dict) -> BasisSet:
     bases = [matrix_from_obj(b) for b in _list(obj["bases"], "bases")]
     return BasisSet(d=_int(_field(obj, "d", "basis set payload"), "d"), bases=bases)
 
 
-def mums_from_obj(obj) -> MumSet:
-    if not isinstance(obj, dict) or "elements" not in obj:
-        raise ValueError("measurement set payload must carry 'elements'")
+def _mums_from_obj(obj: dict) -> MumSet:
     elements = tuple(
         tuple(matrix_from_obj(p) for p in _list(row, "measurement"))
         for row in _list(obj["elements"], "elements")
     )
     t = obj.get("t")
     if t is not None:
-        # verify_mums never reads t, so a non-finite one would pass unnoticed
+        # verify_mums would fail a non-finite t (exit 3); the format calls it malformed
         t = _float(t, "t")
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t!r}")
@@ -156,11 +167,21 @@ def mums_from_obj(obj) -> MumSet:
     )
 
 
-def state_from_obj(obj) -> BipartiteState:
-    if not isinstance(obj, dict) or "rho" not in obj:
-        raise ValueError("state payload must carry 'rho'")
+def _state_from_obj(obj: dict) -> BipartiteState:
     rho = matrix_from_obj(obj["rho"])
     return BipartiteState(d=_int(_field(obj, "d", "state payload"), "d"), rho=rho)
+
+
+def value_from_obj(obj):
+    """The value object a payload holds; the inverse of :func:`value_to_obj`."""
+    if isinstance(obj, list):
+        return _operator_basis_from_obj(obj)
+    if isinstance(obj, dict):
+        for key, load in (("elements", _mums_from_obj), ("bases", _basis_set_from_obj),
+                          ("rho", _state_from_obj)):
+            if key in obj:
+                return load(obj)
+    raise ValueError("unrecognized payload: not a list or object with 'elements', 'bases' or 'rho'")
 
 
 def grid_from_obj(obj) -> np.ndarray:
@@ -174,33 +195,6 @@ def grid_from_obj(obj) -> np.ndarray:
             or bool in map(type, np.array(obj, dtype=object).flat)):
         raise ValueError("probability grid must be a list of equal-length lists of numbers")
     return p.astype(float)
-
-
-def report_to_obj(report: DetectionReport) -> dict:
-    return {
-        "criterion": report.criterion,
-        "value": float(report.value),
-        "bound": float(report.bound),
-        "verdict": report.verdict,
-        "kappa": None if report.kappa is None else float(report.kappa),
-        "d": int(report.d),
-    }
-
-
-def _finite_or_null(value) -> float | None:
-    value = float(value)
-    return value if math.isfinite(value) else None
-
-
-def verification_report_to_obj(report: VerificationReport) -> dict:
-    """Report as JSON; a non-finite defect or detail is written as null."""
-    return {
-        "kind": report.kind,
-        "tol": float(report.tol),
-        "passed": bool(report.passed),
-        "defects": {k: _finite_or_null(v) for k, v in report.defects.items()},
-        "details": {k: _finite_or_null(v) for k, v in report.details.items()},
-    }
 
 
 # Matrix entries are encoded in blocks of at most this many [re, im]
@@ -273,7 +267,7 @@ def iterencode(value) -> Iterator[str]:
     """
     field = _ARRAYS.get(type(value))
     if field is None:
-        yield json.dumps(value, allow_nan=False) + "\n"
+        yield json.dumps(_payload(value, None), allow_nan=False) + "\n"
         return
     array = getattr(value, field)
     n = array.shape[-1]
@@ -286,10 +280,9 @@ def iterencode(value) -> Iterator[str]:
 
 
 def dumps(value) -> str:
-    """Strict JSON text of a value object or a plain JSON object, newline-terminated.
+    """Strict JSON text of a value object, a report or a plain JSON object, newline-terminated.
 
-    For an operator basis, basis set, measurement set or state this is
-    ``json.dumps(value_to_obj(value))``; a NaN or infinite float
+    This is ``json.dumps(value_to_obj(value))``; a NaN or infinite float
     raises ValueError, never a bare token.
     """
     return "".join(iterencode(value))

@@ -3,7 +3,7 @@
 States live on C^d (x) C^d with the first factor major: the composite
 index of |i> (x) |j> is i*d + j.  All factories validate Hermiticity
 (1e-12), unit trace (1e-10) and positivity (1e-10), and refuse a
-non-finite entry as not Hermitian.  Positivity is decided by
+non-finite entry as such.  Positivity is decided by
 :func:`mumkit.reporting.psd_minima`, and every eigenvalue reported (the
 partial transposes of ``ppt_check`` and ``ppt_minima``, the ``psd``
 defect of ``verify_state``) comes from
@@ -54,13 +54,15 @@ def _check_density_matrices(rhos: np.ndarray) -> None:
     does not need Hermiticity known.  The first matrix that fails a check
     raises the message a single matrix gives.  A non-finite entry makes
     the Hermiticity defect NaN or inf, and the comparisons refuse NaN, so
-    such a matrix fails as not Hermitian.
+    such a matrix fails that test and is refused as having a non-finite entry.
     """
     defects = np.abs(rhos - rhos.conj().swapaxes(-1, -2)).max(axis=(-2, -1)).tolist()
     traces = rhos.trace(axis1=-2, axis2=-1).tolist()
     min_eigs = psd_minima(rhos, PSD_TOL).tolist()
     for i, (defect, tr, min_ev) in enumerate(zip(defects, traces, min_eigs)):
         if not defect <= HERMITIAN_TOL:
+            if not np.isfinite(rhos[i]).all():
+                raise ValueError("density matrix has a non-finite entry")
             require_hermitian(rhos[i], what="density matrix")
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
@@ -195,8 +197,8 @@ def ppt_minima(d: int, rhos: np.ndarray) -> np.ndarray:
 
     ``rhos`` is a (K, d^2, d^2) stack.  Each is checked in order as a factory checks
     its state, the first that fails raising the message it would, so a non-finite state
-    is refused as not Hermitian.  One :func:`mumkit.reporting.min_eigenvalues` call then
-    covers the K partial transposes, whose eigenvalues are the result.
+    is refused as having a non-finite entry.  One :func:`mumkit.reporting.min_eigenvalues`
+    call then covers the K partial transposes, whose eigenvalues are the result.
     """
     _check_density_matrices(rhos)
     return min_eigenvalues(_partial_transposes(d, rhos))
@@ -284,8 +286,6 @@ def ppt_check(state: BipartiteState) -> PptResult:
     state with a non-finite entry, or one that is not Hermitian, of unit
     trace and PSD at the factories' tolerances, raises ValueError.
     """
-    if not np.isfinite(state.rho).all():
-        raise ValueError("state has a non-finite entry")
     _check_density_matrices(state.rho[None])
     return _ppt_result(state.d, state.rho)
 

@@ -213,7 +213,7 @@ def test_state_file_output_bytes_are_frozen(tmp_path, capsys, argv):
     path = str(tmp_path / "state.json")
     assert run(capsys, ["gen-state", "--family", "random-separable", "--d", "3", "--k", "3",
                         "--seed", "11", "-o", path])[0] == 0
-    rho = serialize.state_from_obj(serialize.load_path(path)).rho
+    rho = serialize.value_from_obj(serialize.load_path(path)).rho
     assert (rho != rho.conj().T).any()
     code, stdout, err = run(capsys, [*argv, "--state", path])
     assert (code, err) == (0, "")
@@ -585,6 +585,24 @@ def test_unrecognized_payload_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, ["verify", str(bad)])
     assert code == 2
     assert "unrecognized" in err
+
+
+def test_state_file_of_another_kind_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "m3.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(path)])[0] == 0
+    for argv in (["detect"], ["oracle-ppt"], ["simulate", "--shots", "10", "--seed", "1"]):
+        assert run(capsys, argv + ["--state", str(path)]) == (
+            2, "", f"error: --state {path} is not a state payload\n"), argv
+
+
+def test_seed_of_2_to_the_64_or_more_exits_2(capsys):
+    # the generator's 64-bit seed once folded 2**64 + 1 onto 1
+    for seed in (2 ** 64, 2 ** 64 + 1):
+        assert run(capsys, ["gen-state", "--family", "random-separable", "--d", "2", "--k", "1",
+                            "--seed", str(seed)]) == (
+            2, "", "error: seed must be a non-negative integer below 2**64\n")
+    assert run(capsys, ["gen-state", "--family", "random-separable", "--d", "2", "--k", "1",
+                        "--seed", str(2 ** 64 - 1)])[0] == 0
 
 
 MALFORMED_PAYLOADS = {
@@ -1025,6 +1043,22 @@ def test_bell_sweep_accepts_kappa_at_its_range_ends(capsys, kappa):
     code, out, _ = run(capsys, ["sweep", "--family", "bell-diagonal", "--d", "3",
                                 "--param", "0.5:1:0.25", "--kappa", kappa])
     assert code == 0 and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])
+def test_sweep_point_tolerated_above_1_is_the_point_at_1(capsys, family):
+    # SweepSpec lets a weight through up to 1 + 1e-12; the Bell-diagonal sweep
+    # once built its grid from the unclamped weight and exited 2
+    argv = ["sweep", "--family", family, "--d", "3", "--param"]
+    _, at_one, _ = run(capsys, argv + ["1:1:0.1"])
+    code, out, err = run(capsys, argv + ["1.0000000000005:1.0000000000005:0.1"])
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == at_one.splitlines()[0]
+    # the param column keeps the point as given; the rest is the row at 1
+    cells, cells_at_one = row.split(","), at_one.splitlines()[1].split(",")
+    assert cells[3] == "1.0000000000005"
+    assert cells[:3] + cells[4:] == cells_at_one[:3] + cells_at_one[4:]
 
 
 @pytest.mark.parametrize("family", ["isotropic", "bell-diagonal"])

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,23 @@ def test_rejects_negative_seed():
     except ValueError:
         return
     raise AssertionError("negative seed accepted")
+
+
+@pytest.mark.parametrize("seed", [2 ** 64, 2 ** 64 + 1, 2 ** 65 + 7])
+def test_rejects_a_seed_of_2_to_the_64_or_more(seed):
+    # a 64-bit mask once gave 2**64 + 1 the stream of 1
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer below 2\*\*64$"):
+        Xoshiro256(seed)
+
+
+def test_seed_is_read_as_an_integer():
+    # a numpy seed once ran the seed expansion in numpy scalars, warning as they wrapped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(Xoshiro256(np.uint64(2 ** 64 - 1)).uniforms(4),
+                              Xoshiro256(2 ** 64 - 1).uniforms(4))
+    with pytest.raises(TypeError):
+        Xoshiro256(1.0)
 
 
 def reference_uniforms(gen: Xoshiro256, n: int):

@@ -108,20 +108,20 @@ def test_wrong_typed_matrix_raises_value_error(obj):
 def test_wrong_typed_containers_raise_value_error():
     one = {"dim": 1, "entries": [[1.0, 0.0]]}
     with pytest.raises(ValueError, match="basis items"):
-        ser.operator_basis_from_obj([1, 2])
+        ser.value_from_obj([1, 2])
     with pytest.raises(ValueError, match="label n"):
-        ser.operator_basis_from_obj([{"n": None, "b": 1, "matrix": one}])
+        ser.value_from_obj([{"n": None, "b": 1, "matrix": one}])
     with pytest.raises(ValueError, match="bases"):
-        ser.basis_set_from_obj({"d": 1, "bases": 5})
+        ser.value_from_obj({"d": 1, "bases": 5})
     with pytest.raises(ValueError, match="elements"):
-        ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": 5})
+        ser.value_from_obj({"d": 1, "kappa": 1.0, "elements": 5})
     with pytest.raises(ValueError, match="measurement"):
-        ser.mums_from_obj({"d": 1, "kappa": 1.0, "elements": [one]})
+        ser.value_from_obj({"d": 1, "kappa": 1.0, "elements": [one]})
     for kappa in ("1", None, 10 ** 400):
         with pytest.raises(ValueError, match="kappa"):
-            ser.mums_from_obj({"d": 1, "kappa": kappa, "elements": [[one]]})
+            ser.value_from_obj({"d": 1, "kappa": kappa, "elements": [[one]]})
     with pytest.raises(ValueError, match="d must be"):
-        ser.state_from_obj({"d": [1], "rho": one})
+        ser.value_from_obj({"d": [1], "rho": one})
     for grid in ({"p": 1}, [[0.5, "0.5"]], [[0.5, None]], [[0.5], [0.25, 0.25]], [[True]], 5,
                  [[True, 0.0], [0.0, 0.0]], [[1, 0], [0, False]]):
         with pytest.raises(ValueError, match="probability grid"):
@@ -138,16 +138,16 @@ def test_matrix_dim_below_one_has_its_own_message():
 @pytest.mark.parametrize("make", [gell_mann_basis, grouped_gell_mann_basis])
 def test_operator_basis_labels_must_follow_the_block_rule(make):
     items = ser.value_to_obj(make(3))
-    assert ser.operator_basis_from_obj(items).labels == make(3).labels
+    assert ser.value_from_obj(items).labels == make(3).labels
     items[2]["n"], items[2]["b"], items[5]["n"], items[5]["b"] = (
         items[5]["n"], items[5]["b"], items[2]["n"], items[2]["b"])
     with pytest.raises(ValueError, match=r"item 2 is labelled \(n, b\) = \(2, 3\).*gives \(1, 2\)"):
-        ser.operator_basis_from_obj(items)
+        ser.value_from_obj(items)
 
 
 def test_operator_basis_round_trip():
     basis = gell_mann_basis(3)
-    back = ser.operator_basis_from_obj(json.loads(json.dumps(ser.value_to_obj(basis))))
+    back = ser.value_from_obj(json.loads(json.dumps(ser.value_to_obj(basis))))
     assert back.d == 3
     assert back.labels == basis.labels
     for a, b in zip(basis.elements, back.elements):
@@ -156,7 +156,7 @@ def test_operator_basis_round_trip():
 
 def test_basis_set_round_trip():
     bs = mub_prime(5)
-    back = ser.basis_set_from_obj(json.loads(json.dumps(ser.value_to_obj(bs))))
+    back = ser.value_from_obj(json.loads(json.dumps(ser.value_to_obj(bs))))
     assert back.d == 5 and back.m == 6
     for a, b in zip(bs.bases, back.bases):
         assert np.array_equal(a, b)
@@ -164,7 +164,7 @@ def test_basis_set_round_trip():
 
 def test_mums_round_trip():
     ms = optimal_mums(3)
-    back = ser.mums_from_obj(json.loads(json.dumps(ser.value_to_obj(ms))))
+    back = ser.value_from_obj(json.loads(json.dumps(ser.value_to_obj(ms))))
     assert back.d == 3
     assert back.kappa == ms.kappa
     assert back.t == ms.t
@@ -179,7 +179,7 @@ def test_mums_t_null_round_trip():
     ms = mums_from_mubs(mub_prime(2))
     obj = json.loads(json.dumps(ser.value_to_obj(ms)))
     assert obj["t"] is None
-    assert ser.mums_from_obj(obj).t is None
+    assert ser.value_from_obj(obj).t is None
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
@@ -187,26 +187,34 @@ def test_mums_non_finite_t_raises(t):
     obj = json.loads(json.dumps(ser.value_to_obj(optimal_mums(2))))
     obj["t"] = t
     with pytest.raises(ValueError, match="t must be finite"):
-        ser.mums_from_obj(obj)
+        ser.value_from_obj(obj)
     obj["t"] = True
     with pytest.raises(ValueError, match="t must be a number"):
-        ser.mums_from_obj(obj)
+        ser.value_from_obj(obj)
 
 
 def test_state_round_trip():
     st = isotropic(3, 0.37)
-    back = ser.state_from_obj(json.loads(json.dumps(ser.value_to_obj(st))))
+    back = ser.value_from_obj(json.loads(json.dumps(ser.value_to_obj(st))))
     assert back.d == 3
     assert np.array_equal(st.rho, back.rho)
 
 
 def test_detection_report_schema():
+    from mumkit import correlation_criterion
+
     ms = optimal_mums(2)
     report = mum_criterion(isotropic(2, 0.9), ms, conjugate_mums(ms))
-    obj = ser.report_to_obj(report)
+    obj = ser.value_to_obj(report)
     assert set(obj) == {"criterion", "value", "bound", "verdict", "kappa", "d"}
     assert obj["verdict"] == "entangled"
     assert obj["d"] == 2
+    # dumps takes the report itself, and writes the object its own view built
+    for rep in (report, correlation_criterion(isotropic(3, 0.1))):
+        assert ser.dumps(rep) == json.dumps({
+            "criterion": rep.criterion, "value": float(rep.value), "bound": float(rep.bound),
+            "verdict": rep.verdict, "kappa": None if rep.kappa is None else float(rep.kappa),
+            "d": int(rep.d)}) + "\n"
 
 
 def test_verification_report_is_strict_json():
@@ -215,19 +223,37 @@ def test_verification_report_is_strict_json():
     finite = VerificationReport(kind="mum-set", tol=1e-9, defects={"psd": 2.5e-16},
                                 details={"kappa_inferred": 0.5})
     # finite reports keep the bytes they had before non-finite values became null
-    assert ser.dumps(ser.verification_report_to_obj(finite)) == json.dumps({
+    assert ser.dumps(finite) == json.dumps({
         "kind": "mum-set", "tol": 1e-9, "passed": True,
         "defects": {"psd": 2.5e-16}, "details": {"kappa_inferred": 0.5},
     }) + "\n"
     broken = VerificationReport(kind="mum-set", tol=1e-9,
                                 defects={"psd": float("inf"), "trace_one": 0.0},
                                 details={"kappa_inferred": float("nan")})
-    obj = ser.verification_report_to_obj(broken)
+    obj = ser.value_to_obj(broken)
     assert obj["passed"] is False
     assert obj["defects"] == {"psd": None, "trace_one": 0.0}
     assert obj["details"] == {"kappa_inferred": None}
+    assert list(ser.iterencode(broken)) == [ser.dumps(broken)] == [json.dumps(obj) + "\n"]
     with pytest.raises(ValueError):
         ser.dumps({"value": float("nan")})
+
+
+@pytest.mark.parametrize("keys, kind", [(("elements", "rho"), MumSet),
+                                        (("elements", "bases"), MumSet),
+                                        (("bases", "rho"), BasisSet)])
+def test_value_from_obj_looks_for_elements_then_bases_then_rho(keys, kind):
+    # the order verify sniffed the keys in before value_from_obj held the rule
+    values = {"elements": optimal_mums(3), "bases": mub_prime(3), "rho": isotropic(3, 0.2)}
+    obj = ser.value_to_obj(values[keys[0]])
+    obj[keys[1]] = ser.value_to_obj(values[keys[1]])[keys[1]]
+    assert type(ser.value_from_obj(obj)) is kind
+
+
+@pytest.mark.parametrize("obj", [{"foo": 1}, {}, 5, "rho", None, True])
+def test_value_from_obj_refuses_an_unrecognized_payload(obj):
+    with pytest.raises(ValueError, match="^unrecognized payload: not a list or object with "):
+        ser.value_from_obj(obj)
 
 
 # -- the value-table encoder: dumps(value) against json.dumps(value_to_obj(value)) --
@@ -345,9 +371,8 @@ def test_plain_objects_are_json_text():
     ([{"n": 1, "b": 1}], "operator basis item 0 is missing the key 'matrix'"),
 ])
 def test_missing_key_names_the_key_and_the_payload(payload, message):
-    load = ser.operator_basis_from_obj if isinstance(payload, list) else ser.mums_from_obj
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load(payload)
+        ser.value_from_obj(payload)
 
 
 def _without_d(payload):
@@ -355,20 +380,17 @@ def _without_d(payload):
     return payload
 
 
-@pytest.mark.parametrize("payload, load, message", [
+@pytest.mark.parametrize("payload, message", [
     # a 4 x 4 state loaded as d = 2, and a 5 x 5 one was refused as "a state for d=2"
-    (_without_d(ser.value_to_obj(isotropic(2, 0.5))), ser.state_from_obj,
-     "state payload is missing the key 'd'"),
-    ({"rho": ser.matrix_to_obj(np.eye(5) / 5)}, ser.state_from_obj,
-     "state payload is missing the key 'd'"),
-    (_without_d(ser.value_to_obj(mub_prime(3))), ser.basis_set_from_obj,
-     "basis set payload is missing the key 'd'"),
+    (_without_d(ser.value_to_obj(isotropic(2, 0.5))), "state payload is missing the key 'd'"),
+    ({"rho": ser.matrix_to_obj(np.eye(5) / 5)}, "state payload is missing the key 'd'"),
+    (_without_d(ser.value_to_obj(mub_prime(3))), "basis set payload is missing the key 'd'"),
     # an empty list of bases loaded as d = 0
-    ({"bases": []}, ser.basis_set_from_obj, "basis set payload is missing the key 'd'"),
+    ({"bases": []}, "basis set payload is missing the key 'd'"),
 ], ids=["state", "state-5x5", "basis-set", "basis-set-empty"])
-def test_loaders_require_d(payload, load, message):
+def test_loaders_require_d(payload, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        load(payload)
+        ser.value_from_obj(payload)
 
 
 def _v16_pair_texts(pairs):

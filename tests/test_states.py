@@ -392,9 +392,9 @@ def test_ppt_oracle_refuses_a_non_finite_state(monkeypatch, i, j, bad):
     monkeypatch.setattr(np.linalg, "eigvalsh", finite_eigvalsh)
     with pytest.raises(ValueError, match="non-finite entry"):
         ppt_check(BipartiteState(2, rho))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="non-finite entry"):
         ppt_minima(2, rho[None])
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="non-finite entry"):
         ppt_minima(2, np.array([np.eye(4) / 4, rho]))
 
 
