@@ -23,6 +23,7 @@ import numpy as np
 from . import serialize
 from .criteria import (
     VERDICT_TOL,
+    DetectionReport,
     _j_evaluator,
     _verdict,
     bell_choice,
@@ -48,6 +49,7 @@ from .operator_basis import (
     grouped_gell_mann_basis,
     verify_orthonormal_basis,
 )
+from .reporting import VerificationReport
 from .states import (
     BipartiteState,
     _ppt_result,
@@ -67,7 +69,7 @@ MAX_GRID_POINTS = 10 ** 6
 _SWEEP_BLOCK_ENTRIES = 2 ** 15
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """Validation problem; maps to exit code 2."""
 
 
@@ -256,6 +258,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="verify a generated JSON artifact")
     p.add_argument("file")
+    p.set_defaults(output=None)  # the report goes to stdout
 
     p = sub.add_parser("detect", help="evaluate a separability criterion")
     _add_state_args(p)
@@ -394,41 +397,33 @@ def _write(pieces: Iterable[str], output: str | None) -> None:
             fh.truncate()
 
 
-def _cmd_gen_basis(args) -> int:
-    _write(serialize.iterencode(_basis_for(args.d, args.layout)), args.output)
-    return 0
+def _cmd_gen_basis(args) -> OperatorBasis:
+    return _basis_for(args.d, args.layout)
 
 
-def _cmd_gen_mub(args) -> int:
-    _write(serialize.iterencode(mub_prime(args.d)), args.output)
-    return 0
+def _cmd_gen_mub(args) -> BasisSet:
+    return mub_prime(args.d)
 
 
-def _cmd_gen_mums(args) -> int:
-    ms = _mums_for(args.d, kappa=args.kappa, t=args.t, use_max_t=args.max_t,
-                   layout=args.layout)
-    _write(serialize.iterencode(ms), args.output)
-    return 0
+def _cmd_gen_mums(args) -> MumSet:
+    return _mums_for(args.d, kappa=args.kappa, t=args.t, use_max_t=args.max_t,
+                     layout=args.layout)
 
 
-def _cmd_gen_state(args) -> int:
-    state, _ = _state_from_args(args)
-    _write(serialize.iterencode(state), args.output)
-    return 0
+def _cmd_gen_state(args) -> BipartiteState:
+    return _state_from_args(args)[0]
 
 
 _VERIFIERS = {OperatorBasis: verify_orthonormal_basis, BasisSet: verify_mub,
               MumSet: verify_mums, BipartiteState: verify_state}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> VerificationReport:
     value = serialize.value_from_obj(serialize.load_path(args.file))
-    report = _VERIFIERS[type(value)](value, args.tol)
-    _write(serialize.iterencode(report), None)
-    return 0 if report.passed else 3
+    return _VERIFIERS[type(value)](value, args.tol)
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> DetectionReport:
     if args.criterion != "mum":
         # only the mum criterion builds a measurement pair
         _refuse_ignored(f"--criterion {args.criterion}",
@@ -437,39 +432,34 @@ def _cmd_detect(args) -> int:
     state, p_grid = _state_from_args(args)
     d = state.d
     if args.criterion == "mub":
-        report = mub_criterion(state, mub_prime(d), tol=args.tol)
-    elif args.criterion == "correlation":
-        report = correlation_criterion(state, tol=args.tol)
-    else:
-        pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
-        qset = _pair_for(pset, args.pairing or "conjugate", p_grid)
-        report = mum_criterion(state, pset, qset, tol=args.tol)
-    _write(serialize.iterencode(report), args.output)
-    return 0
+        return mub_criterion(state, mub_prime(d), tol=args.tol)
+    if args.criterion == "correlation":
+        return correlation_criterion(state, tol=args.tol)
+    pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)
+    qset = _pair_for(pset, args.pairing or "conjugate", p_grid)
+    return mum_criterion(state, pset, qset, tol=args.tol)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     parts = args.param.split(":")
     if len(parts) != 3:
         raise CliError(f"--param must be start:stop:step, got {args.param!r}")
     start, stop, step = (_number(x, f"--param start, stop and step must be numbers, "
                                     f"got {args.param!r}") for x in parts)
-    spec = SweepSpec(family=args.family, d=args.d, start=start, stop=stop, step=step,
-                     kappa=args.kappa, pairing=args.pairing, tol=args.tol)
-    _write((emit_figure_data(spec),), args.output)
-    return 0
+    return emit_figure_data(SweepSpec(family=args.family, d=args.d, start=start, stop=stop,
+                                      step=step, kappa=args.kappa, pairing=args.pairing,
+                                      tol=args.tol))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     state, _ = _state_from_args(args)
     pset = _mums_for(state.d, kappa=args.kappa, t=args.t)
     qset = _pair_for(pset, args.pairing)
     est = simulate_counts(state, pset, qset, args.shots, args.seed, tol=args.tol)
-    exact = j_value(state, pset, qset)
-    obj = {
+    return {
         "j_estimate": float(est.j_estimate),
         "std_error": float(est.std_error),
-        "j_exact": float(exact),
+        "j_exact": float(j_value(state, pset, qset)),
         "bound": 1.0 + float(pset.kappa),
         "kappa": float(pset.kappa),
         "d": int(state.d),
@@ -477,16 +467,12 @@ def _cmd_simulate(args) -> int:
         "seed": int(est.seed),
         "counts": [[[int(c) for c in row] for row in grid] for grid in est.counts],
     }
-    _write(serialize.iterencode(obj), args.output)
-    return 0
 
 
-def _cmd_oracle_ppt(args) -> int:
+def _cmd_oracle_ppt(args) -> dict:
     state, _ = _state_from_args(args)
     result = _ppt_result(state.d, state.rho)
-    obj = {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
-    _write(serialize.iterencode(obj), args.output)
-    return 0
+    return {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
 
 
 _COMMANDS = {
@@ -503,7 +489,7 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str]) -> int:
-    """Run one command and return its exit code, with the cyclic collector paused.
+    """Run one command, write its result and pick the exit code, with the collector paused.
 
     The pause matters for parsing: ``json.load`` of a d = 16 payload
     builds an acyclic tree of about 70k small ``[re, im]`` lists and
@@ -517,13 +503,15 @@ def run_cli(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         if not 0.0 <= args.tol < np.inf:
             raise CliError(f"--tol must be finite and non-negative, got {args.tol!r}")
-        return _COMMANDS[args.command](args)
+        value = _COMMANDS[args.command](args)
+        _write((value,) if isinstance(value, str) else serialize.iterencode(value), args.output)
+        return 3 if isinstance(value, VerificationReport) and not value.passed else 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except VerificationFailure as exc:
         sys.stderr.write(f"error: verification failed: {exc}\n")
         return 3
-    except (CliError, ValueError, OSError, KeyError, MemoryError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     finally:

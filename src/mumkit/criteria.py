@@ -251,6 +251,11 @@ def setting_distributions(
     state: BipartiteState, pset: MumSet, qset: MumSet
 ) -> list[np.ndarray]:
     """Joint outcome distributions q_b[n, n'] = Tr((P_n^(b) (x) Q_n'^(b)) rho)."""
+    return _setting_distributions(state, pset, qset, -1e-12)
+
+
+def _setting_distributions(state, pset, qset, floor: float) -> list[np.ndarray]:
+    """:func:`setting_distributions`, refusing a probability below ``floor`` (or NaN)."""
     _check_pairing(state, pset, qset)
     r = _realigned(state)
     out = []
@@ -262,7 +267,7 @@ def setting_distributions(
             cause = "" if math.isfinite(worst_imag) else "; an input has a non-finite entry"
             raise ValueError(f"setting {b + 1} produced complex outcome probabilities{cause}")
         q = q.real
-        if not q.min() >= -1e-12:
+        if not q.min() >= floor:
             raise ValueError(
                 f"setting {b + 1} produced negative outcome probability {q.min():.3e}; "
                 "an upstream invariant is broken"
@@ -305,12 +310,13 @@ def simulate_counts(
     binomial variances added in quadrature.  A fixed seed reproduces the
     counts exactly.
 
-    Each setting's probabilities must sum to 1 within ``tol``; a state
-    checked at a looser tolerance (the CLI's ``--tol``) passes that one.
+    Each setting's probabilities, negatives counted as 0, must sum to 1
+    within ``tol``, which also bounds their negative mass; a state checked
+    at a looser tolerance (the CLI's ``--tol``) passes that one.
     """
     if shots_per_setting < 1:
         raise ValueError(f"need at least one shot per setting, got {shots_per_setting}")
-    dists = setting_distributions(state, pset, qset)
+    dists = _setting_distributions(state, pset, qset, -np.inf)
     d = state.d
     probs = np.clip(np.reshape(dists, (d + 1, d * d)), 0.0, None)
     totals = probs.sum(axis=1)

@@ -224,6 +224,8 @@ class Xoshiro256:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal variates via Box-Muller."""
+        if n < 0:  # n = -1 would make 0 pairs and draw nothing
+            raise ValueError(f"cannot draw a negative number of normals, got {n}")
         pairs = (n + 1) // 2
         u = self.uniforms(2 * pairs)
         # the log argument must avoid 0; flip u1 into (0, 1]

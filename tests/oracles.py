@@ -2,7 +2,25 @@
 
 import numpy as np
 
+from mumkit import BipartiteState, optimal_mums
+
 
 def trace_product(a, b):
     """Tr(a @ b) without forming the product, as one einsum."""
     return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+
+
+def near_psd_state(e=5e-7):
+    """The d = 3 state (1 + e)|a><a| - e|b><b|: trace 1, one eigenvalue -e.
+
+    a = u (x) v, with u and v the zero-eigenvalue eigenvectors of the first
+    operator of ``optimal_mums(3)`` and of its conjugate, and b the same from
+    their top eigenvectors (eigenvalue 2/3).  Under the conjugate pairing,
+    setting 1's outcome (0, 0) then has probability -4e/9.
+    """
+    p = optimal_mums(3).elements[0, 0]
+    u = np.linalg.eigh(p)[1]
+    v = np.linalg.eigh(p.conj())[1]
+    a = np.kron(u[:, 0], v[:, 0])
+    b = np.kron(u[:, -1], v[:, -1])
+    return BipartiteState(3, (1 + e) * np.outer(a, a.conj()) - e * np.outer(b, b.conj()))

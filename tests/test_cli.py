@@ -16,6 +16,8 @@ from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import BipartiteState, OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
 
+from oracles import near_psd_state
+
 
 def run(capsys, argv):
     code = run_cli(argv)
@@ -1254,6 +1256,55 @@ def test_gen_mums_d16_stdout_equals_file_bytes(tmp_path, capsys):
     assert _sha(stdout) == FROZEN_ARTIFACTS[("gen-mums", "--d", "16")]
 
 
+# one run of every command that takes -o, and one refused run of it with its exit code;
+# NAN stands for a state file with a NaN off-diagonal entry
+ISO3 = ["--family", "isotropic", "--d", "3", "--alpha", "0.3"]
+WRITERS = {
+    "gen-basis": (["gen-basis", "--d", "3"], [(["gen-basis", "--d", "1"], 2)]),
+    "gen-mub": (["gen-mub", "--d", "3"], [(["gen-mub", "--d", "4"], 2)]),
+    "gen-mums": (GEN_MUMS_D3, [(GEN_MUMS_D3 + ["--t", "nan"], 2)]),
+    "gen-state": (["gen-state", *ISO3], [(["gen-state", *ISO3, "--seed", "9"], 2)]),
+    "detect": (["detect", *ISO3], [(["detect", *ISO3, "--seed", "9"], 2),
+                                   (["detect", "--state", "NAN"], 3)]),
+    "sweep": (["sweep", "--family", "isotropic", "--d", "3", "--param", "0:1:0.5"],
+              [(["sweep", "--family", "isotropic", "--d", "3", "--param", "0:1:0.5",
+                 "--kappa", "abc"], 2)]),
+    "simulate": (["simulate", *ISO3, "--shots", "10", "--seed", "1"],
+                 [(["simulate", *ISO3, "--shots", "10", "--seed", "1", "--state-seed", "9"], 2),
+                  (["simulate", "--state", "NAN", "--shots", "10", "--seed", "1"], 3)]),
+    "oracle-ppt": (["oracle-ppt", *ISO3], [(["oracle-ppt", *ISO3, "--seed", "9"], 2),
+                                           (["oracle-ppt", "--state", "NAN"], 3)]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_output_over_a_longer_file_is_the_stdout_bytes_in_place(tmp_path, capsys, command):
+    argv = WRITERS[command][0]
+    code, stdout, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * (len(stdout.encode("utf-8")) + 4096))
+    inode = out.stat().st_ino
+    assert run(capsys, argv + ["-o", str(out)]) == (0, "", "")
+    assert out.read_bytes() == stdout.encode("utf-8")
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("argv, code", [case for _, refused in WRITERS.values()
+                                        for case in refused],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}")
+def test_refused_run_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, argv, code):
+    state = tmp_path / "nan.json"
+    obj = serialize.value_to_obj(isotropic(3, 0.3))
+    obj["rho"]["entries"][1][0] = float("nan")
+    state.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    out.write_bytes(b"old contents\n")
+    argv = [str(state) if arg == "NAN" else arg for arg in argv]
+    _refusal(capsys, argv + ["-o", str(out)], code, "error: ")
+    assert out.read_bytes() == b"old contents\n"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_gen_with_non_finite_entry_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, bad):
     elements = gell_mann_basis(3).elements.copy()
@@ -1335,6 +1386,18 @@ def test_tol_reaches_state_file_checks(tmp_path, capsys):
     code, stdout, err = run(capsys, ["detect", "--state", path])
     assert (code, stdout) == (3, "")
     assert err.startswith("error: verification failed: ") and err.count("\n") == 1
+
+
+def test_simulate_samples_a_state_file_within_tol_of_psd(tmp_path, capsys):
+    # one eigenvalue -5e-7, and negative outcome probabilities in setting 1
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(serialize.value_to_obj(near_psd_state())))
+    argv = ["simulate", "--state", str(path), "--shots", "10", "--seed", "1"]
+    code, stdout, err = run(capsys, ["--tol", "1e-6", *argv])
+    assert (code, err) == (0, "")
+    assert np.array(json.loads(stdout)["counts"]).sum(axis=(1, 2)).tolist() == [10] * 4
+    # at the default 1e-9 the file fails its check
+    _refusal(capsys, argv, 3, "error: verification failed: ")
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lower", "upper"])

@@ -40,7 +40,7 @@ from mumkit import (
     weyl_operator,
 )
 
-from oracles import trace_product
+from oracles import near_psd_state, trace_product
 
 
 def j_by_explicit_kron(state, pset, qset):
@@ -647,6 +647,14 @@ def test_simulate_counts_refuses_a_nan_tol():
     ms = optimal_mums(3)
     with pytest.raises(ValueError, match="outcome probabilities sum to"):
         simulate_counts(isotropic(3, 0.5), ms, conjugate_mums(ms), 10, 1, tol=np.nan)
+
+
+def test_simulate_counts_refuses_a_negative_mass_beyond_tol_by_its_sum():
+    # setting 1's negative probabilities total -4.4e-7; clipped to 0, they push its sum past 1
+    ms = optimal_mums(3)
+    message = r"^outcome probabilities sum to 1\.00000044\d*, expected 1$"
+    with pytest.raises(ValueError, match=message):
+        simulate_counts(near_psd_state(), ms, conjugate_mums(ms), 10, 1, tol=1e-10)
 
 
 def test_mum_criterion_refuses_a_nan_kappa():

@@ -199,6 +199,15 @@ def test_normals_odd_count_prefix_of_even():
     assert np.array_equal(z3, z4[:3])
 
 
+@pytest.mark.parametrize("method, n", [("uniforms", -1), ("normals", -1), ("normals", -2),
+                                       ("exponentials", -1), ("complex_normals", -1)])
+def test_negative_count_is_refused_and_draws_nothing(method, n):
+    gen = Xoshiro256(3)
+    with pytest.raises(ValueError):
+        getattr(gen, method)(n)
+    assert np.array_equal(gen.uniforms(4), Xoshiro256(3).uniforms(4))
+
+
 def test_exponentials_are_positive():
     e = Xoshiro256(5).exponentials(1000)
     assert e.min() >= 0.0
