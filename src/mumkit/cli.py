@@ -471,7 +471,7 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_oracle_ppt(args) -> dict:
     state, _ = _state_from_args(args)
-    result = _ppt_result(state.d, state.rho)
+    result = _ppt_result(state.d, state.rho, args.tol)
     return {"min_eigenvalue": float(result.min_eigenvalue), "is_ppt": bool(result.is_ppt)}
 
 
@@ -491,11 +491,12 @@ _COMMANDS = {
 def run_cli(argv: list[str]) -> int:
     """Run one command, write its result and pick the exit code, with the collector paused.
 
-    The pause matters for parsing: ``json.load`` of a d = 16 payload
-    builds an acyclic tree of about 70k small ``[re, im]`` lists and
-    starts about 100 collections that free nothing.  Writing builds no
-    such tree, since matrix payloads are encoded from their arrays.  The
-    collector's previous state is restored on the way out.
+    A whole d = 16 payload is an acyclic tree of about 70k small
+    ``[re, im]`` lists, which started about 100 collections that freed
+    nothing.  Neither direction builds it now: the reader frees each
+    matrix's lists before the next, and matrix payloads are encoded from
+    their arrays.  The collector's previous state is restored on the way
+    out.
     """
     was_enabled = gc.isenabled()
     gc.disable()

@@ -3,8 +3,8 @@
 Every verifier reduces its checks to worst-case defects through the
 helpers here, and they fail closed: a non-finite entry anywhere becomes
 an ``inf`` defect, never a dropped NaN and never a LAPACK error.
-Positivity is decided here as well: :func:`psd_minima` puts one Cholesky
-in front of :func:`min_eigenvalues`, the one eigenvalue kernel.  The
+Positivity is decided here as well: :func:`psd_minima` puts a blocked
+Cholesky in front of :func:`min_eigenvalues`, the one eigenvalue kernel.  The
 defect kernel takes a value's families as they are stored, one
 (F, k, n, n) array (an operator basis as d+1 families of d-1 elements,
 a measurement set as d+1 families of d), and checks it one family at a
@@ -46,20 +46,29 @@ def min_eigenvalues(stack: np.ndarray) -> np.ndarray:
     return lam
 
 
+# psd_minima factors its stack in blocks of at most this many complex
+# entries (256 KiB), 64 matrices at n = 16, so that A + (tol/2) I and its
+# factor stay that size at any stack length.
+_CHOLESKY_BLOCK_ENTRIES = 2 ** 14
+
+
 def psd_minima(stack: np.ndarray, tol: float) -> np.ndarray:
     """Zeros if no matrix of a (k, n, n) Hermitian stack dips below -tol, else its minima.
 
-    One stacked ``cholesky`` of A + (tol/2) I succeeds only where
+    A stacked ``cholesky`` of A + (tol/2) I succeeds only where
     lambda_min(A) >= -tol/2 - delta, delta being its rounding error (about
     1e-14 for the states and operators checked here), so ``eigvalsh``
-    would pass every matrix too.  Otherwise the result is
-    :func:`min_eigenvalues`.  A non-finite entry is never certified:
-    Cholesky factors a lone +inf diagonal entry, and never reads the
-    upper triangle.
+    would pass every matrix too.  It runs block by block, and the first
+    block it fails on makes the result :func:`min_eigenvalues` of the
+    whole stack.  A non-finite entry is never certified: Cholesky factors
+    a lone +inf diagonal entry, and never reads the upper triangle.
     """
     if np.isfinite(stack).all():
+        shift = (tol / 2) * np.eye(stack.shape[-1])
+        block = max(1, _CHOLESKY_BLOCK_ENTRIES // shift.size)
         try:
-            np.linalg.cholesky(stack + (tol / 2) * np.eye(stack.shape[-1]))
+            for start in range(0, len(stack), block):
+                np.linalg.cholesky(stack[start:start + block] + shift)
             return np.zeros(len(stack))
         except np.linalg.LinAlgError:
             pass

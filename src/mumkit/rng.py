@@ -21,8 +21,10 @@ outweighing the loop's per-draw cost.  Each jump is cached as a
 read-only nibble table of uint64 words, 32 KiB, built lazily by
 squaring; applying it to c states is one gather of 64 c table rows and
 one XOR reduction.  A request of n draws needs about log2(n) of them.
-The lanes step into one (M+1, 4, L) history array, each step writing the
-next slice, and the outputs are computed once from the whole history.
+The lanes step into an (S+1, 4, L) history array, S = min(M, 32) steps
+at a time, each step writing the next slice; each chunk's outputs are
+written before the next chunk overwrites the history, which keeps it
+to 32 steps of the lanes at any n.
 
 Stream layout conventions used by callers:
 
@@ -145,14 +147,20 @@ def _jump_table(k: int) -> np.ndarray:
     return table
 
 
+# The lanes step at most this many times into one history array before
+# its outputs are written: 14000 draws (M = 32) take one chunk, 10^6
+# draws (M = 256) eight.
+_CHUNK_STEPS = 32
+
+
 def _lane_uniforms(state: tuple[int, int, int, int], n: int):
     """Bit-exact lane-parallel form of :func:`_scalar_uniforms`.
 
     The stream is cut into L lanes of M consecutive draws, M the largest
     power of two not above sqrt(n) / 2.  Lane start states come from
     doubling: lanes [c, 2c) are lanes [0, c) advanced by T^(c M).  All lanes
-    then step M times together into one history, and lane l's j-th output
-    is draw l M + j.
+    then step M times together, a chunk of S = min(M, _CHUNK_STEPS) steps
+    at a time into one history, and lane l's j-th output is draw l M + j.
     """
     # Lane length: the jumps cost about n / M table gathers, the steps
     # about 7 M numpy calls.  Medians of 15 interleaved runs of this
@@ -169,19 +177,34 @@ def _lane_uniforms(state: tuple[int, int, int, int], n: int):
         ahead = min(c, lanes - c)
         starts[c : c + ahead] = _jump(k, starts[:ahead])
         c, k = c + ahead, k + 1
-    h = np.empty((m + 1, 4, lanes), dtype=np.uint64)
+    steps = min(m, _CHUNK_STEPS)  # m and steps are powers of two
+    h = np.empty((steps + 1, 4, lanes), dtype=np.uint64)
     h[0] = starts.T
-    _step_lanes(h)
-    s0, s3 = h[:m, 0], h[:m, 3]
-    x = s0 + s3
-    raw = x << _R23
-    raw |= x >> _R41
-    raw += s0
-    raw >>= _R11
-    out = raw.T.astype(np.float64, order="C").reshape(-1)[:n]
-    out *= _INV53
+    out = None
+    # the last lane's draws end after this many of its steps
     tail = n - (lanes - 1) * m
-    return out, tuple(int(w) for w in h[tail, :, -1])
+    for j in range(0, m, steps):
+        if j:
+            h[0] = h[steps]
+        _step_lanes(h)
+        s0, s3 = h[:steps, 0], h[:steps, 3]
+        x = s0 + s3
+        raw = x << _R23
+        x >>= _R41
+        raw |= x
+        raw += s0
+        raw >>= _R11
+        if out is None:
+            # numpy buffers each strided operand above (64 KiB), so the
+            # output waits until those are freed: one chunk then peaks no
+            # higher than the whole history did
+            out = np.empty((lanes, m))
+        out[:, j:j + steps] = raw.T
+        if j < tail <= j + steps:
+            final = tuple(int(w) for w in h[tail - j, :, -1])
+    out = out.reshape(-1)[:n]
+    out *= _INV53
+    return out, final
 
 
 def _splitmix64(seed: int):

@@ -5,6 +5,13 @@ values are written as Python's shortest round-trip representation, so
 loading reproduces every double exactly.  :func:`value_from_obj` raises
 ValueError for a payload of the wrong shape or JSON type.
 
+:func:`load_path` reads a file one matrix at a time: the decoder hands
+each well-formed matrix object to :func:`matrix_from_obj` as soon as it
+closes, so only that matrix's ``[re, im]`` lists are alive at once, never
+the whole tree.  It returns what ``json.load`` would, except that each
+such object is held as its array, and :func:`value_from_obj` reads the
+result with the messages it gives for the plain tree.
+
 :func:`dumps` and :func:`iterencode` take the value objects (operator
 basis, basis set, measurement set, state) and both reports directly.
 Each payload's layout is written once: :func:`value_to_obj` fills its
@@ -39,15 +46,34 @@ def matrix_to_obj(a: np.ndarray) -> dict:
     }
 
 
+class _Matrix:
+    """A matrix object :func:`load_path` has read: the array :func:`matrix_from_obj` returns."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _plain(value):
+    """``value`` as ``json.loads`` gives it: a read matrix object back as its dict.
+
+    The loaders call this where no matrix belongs, so a matrix object
+    found there is refused and quoted as in the plain tree (an integer
+    entry is quoted as a float).
+    """
+    return matrix_to_obj(value.array) if type(value) is _Matrix else value
+
+
 def _int(value, what: str) -> int:
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_plain(value)!r}")
     return value
 
 
 def _float(value, what: str) -> float:
     if type(value) not in (int, float):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {_plain(value)!r}")
     try:
         return float(value)
     except OverflowError:
@@ -56,11 +82,13 @@ def _float(value, what: str) -> float:
 
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+        raise ValueError(f"{what} must be a list, got {type(_plain(value)).__name__}")
     return value
 
 
 def matrix_from_obj(obj) -> np.ndarray:
+    if type(obj) is _Matrix:
+        return obj.array
     if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
         raise ValueError("matrix payload must carry 'dim' and 'entries'")
     dim = _int(obj["dim"], "matrix dim")
@@ -129,6 +157,7 @@ def _operator_basis_from_obj(obj: list) -> OperatorBasis:
     elements = []
     labels = []
     for i, item in enumerate(obj):
+        item = _plain(item)
         if not isinstance(item, dict):
             raise ValueError("operator basis items must be objects with 'n', 'b' and 'matrix'")
         what = f"operator basis item {i}"
@@ -288,6 +317,25 @@ def dumps(value) -> str:
     return "".join(iterencode(value))
 
 
+def _read_matrix(obj: dict):
+    """The decoder's hook: a well-formed matrix object as its array, any other object as it is.
+
+    An object that :func:`matrix_from_obj` refuses stays a dict, and the
+    loader that reads it raises the refusal where the plain tree would.
+    """
+    if len(obj) == 2 and "dim" in obj and "entries" in obj:
+        try:
+            return _Matrix(matrix_from_obj(obj))
+        except ValueError:
+            pass
+    return obj
+
+
 def load_path(path: str):
+    """The JSON value of a file, each matrix object in it read as soon as it closes.
+
+    ``value_from_obj(load_path(path))`` is ``value_from_obj(json.load(fh))``,
+    errors included, but holds one matrix's ``[re, im]`` lists at a time.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=_read_matrix)

@@ -287,11 +287,11 @@ def ppt_check(state: BipartiteState) -> PptResult:
     trace and PSD at the factories' tolerances, raises ValueError.
     """
     _check_density_matrices(state.rho[None])
-    return _ppt_result(state.d, state.rho)
+    return _ppt_result(state.d, state.rho, PSD_TOL)
 
 
-def _ppt_result(d: int, rho: np.ndarray) -> PptResult:
-    """The PPT verdict of a (d^2, d^2) Hermitian matrix, taken as given.
+def _ppt_result(d: int, rho: np.ndarray, tol: float) -> PptResult:
+    """The PPT verdict of a (d^2, d^2) Hermitian matrix, taken as given: PPT iff >= -tol.
 
     ``eigvalsh`` reads only the lower triangle, so ``rho`` must be Hermitian
     as it stands: :func:`ppt_check` refuses any other, and a state file
@@ -299,4 +299,4 @@ def _ppt_result(d: int, rho: np.ndarray) -> PptResult:
     :func:`verify_state` judged.
     """
     min_ev = float(min_eigenvalues(_partial_transposes(d, rho[None]))[0])
-    return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -PSD_TOL))
+    return PptResult(min_eigenvalue=min_ev, is_ppt=bool(min_ev >= -tol))

@@ -15,6 +15,8 @@ from mumkit import correlation_criterion, max_entangled
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import BipartiteState, OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
+from mumkit.criteria import VERDICT_TOL
+from mumkit.states import PptResult, _ppt_result
 
 from oracles import near_psd_state
 
@@ -1186,6 +1188,26 @@ def test_oracle_ppt_from_state_file(tmp_path, capsys):
     code, stdout, _ = run(capsys, ["oracle-ppt", "--state", str(state_file)])
     assert code == 0
     assert json.loads(stdout)["is_ppt"] is True
+
+
+def test_oracle_ppt_judges_at_tol(tmp_path, capsys):
+    # the near-PSD state's partial transpose dips to about -5e-7
+    state = near_psd_state()
+    path = tmp_path / "near.json"
+    path.write_text(serialize.dumps(state))
+    code, stdout, err = run(capsys, ["--tol", "1e-6", "oracle-ppt", "--state", str(path)])
+    assert (code, err) == (0, "")
+    result = json.loads(stdout)
+    assert -1e-6 < result["min_eigenvalue"] < -1e-7 and result["is_ppt"] is True
+    # at the default the file fails its check; the verdict itself reads false there
+    assert run(capsys, ["oracle-ppt", "--state", str(path)])[0] == 3
+    hermitian = 0.5 * (state.rho + state.rho.conj().T)
+    assert _ppt_result(3, hermitian, VERDICT_TOL) == PptResult(result["min_eigenvalue"], False)
+    # isotropic alpha = 0.5 is NPT well beyond either tolerance
+    for tol in ([], ["--tol", "1e-6"]):
+        code, stdout, _ = run(capsys, [*tol, "oracle-ppt", "--family", "isotropic", "--d", "3",
+                                       "--alpha", "0.5"])
+        assert code == 0 and json.loads(stdout)["is_ppt"] is False
 
 
 def test_gen_mums_max_t_reaches_projective_purity_d2(capsys):

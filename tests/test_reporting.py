@@ -24,6 +24,7 @@ from mumkit import (
     verify_orthonormal_basis,
 )
 from mumkit.mum import _measurement_directions
+from mumkit import reporting
 from mumkit.reporting import min_eigenvalues, operator_defects, psd_minima, worst
 
 from oracles import trace_product
@@ -281,6 +282,22 @@ def test_psd_certificate_never_passes_what_eigvalsh_refuses(tol):
         # one stacked call covers every matrix: a single indefinite one fails the stack
         assert _certified(mats[5:], tol)
         assert not _certified(mats[1:], tol)
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 3, 6])
+def test_psd_certificate_runs_block_by_block(monkeypatch, bad_at):
+    # blocks of two 3 x 3 matrices; a stack of 7 ends in a block of one
+    monkeypatch.setattr(reporting, "_CHOLESKY_BLOCK_ENTRIES", 18)
+    rng = np.random.default_rng(5)
+    stack = np.array([_planted(rng, 3, 0.1) for _ in range(7)])
+    if bad_at is not None:
+        stack[bad_at] = _planted(rng, 3, -1e-6)
+    lam = psd_minima(stack, 1e-10)
+    if bad_at is None:
+        assert lam.tobytes() == np.zeros(7).tobytes()
+    else:
+        assert lam.tobytes() == min_eigenvalues(stack).tobytes()
+        assert int(np.argmin(lam)) == bad_at
 
 
 @pytest.mark.parametrize("i, j, bad", [(0, 0, math.inf), (2, 2, math.inf), (1, 1, math.nan),

@@ -8,6 +8,8 @@ import pytest
 from mumkit import Xoshiro256
 from mumkit import rng
 
+from oracles import traced_peak_mib
+
 _MASK = (1 << 64) - 1
 
 # Golden stream digests for seeds 0, 1, 50000 and 2**64 - 1, frozen from
@@ -264,11 +266,15 @@ def state(gen: Xoshiro256):
 # q*M - 1, q*M, q*M + 1 for lane lengths M = 8 (at the scalar/lane
 # crossover, 256 = 32 * 8, and 768 = 96 * 8), 16 (1024, 2592), 32 (4096,
 # 13952), 64 (16384, 20032) and 128 (100096); 1023, 4095 and 16383 also
-# sit where M doubles.
+# sit where M doubles.  Past M = 32 the lanes step in chunks of 32 steps,
+# and the last lane's draws end inside one: 14000 draws are one chunk
+# (M = 32, ending at step 16); 65537 four (M = 128, at step 1), 300001
+# eight (M = 256, at step 225) and 10^6 eight (M = 256, at step 64, the
+# end of a chunk).
 @pytest.mark.parametrize(
     "n",
     [n + e for n in (rng._CROSSOVER, 768, 1024, 2592, 4096, 13952, 16384, 20032, 100096)
-     for e in (-1, 0, 1)],
+     for e in (-1, 0, 1)] + [14000, 65537, 300001, 10 ** 6],
 )
 def test_uniforms_match_scalar_loop(n):
     for seed in (3, 2**64 - 1):
@@ -371,3 +377,8 @@ def test_golden_stream_digests(method, seed):
     got = tuple(stream_digest(seed, method, n) for n in GOLDEN_LENGTHS)
     for n, want, have in zip(GOLDEN_LENGTHS, GOLDEN[method, seed], got):
         assert have == want, f"{method}({n}) at seed {seed}"
+
+
+def test_lane_history_is_bounded_by_its_chunk():
+    # one (M+1, 4, L) history of all 256 steps took 53.7 MiB beside the 7.6 MiB output
+    assert traced_peak_mib(Xoshiro256(1).uniforms, 10 ** 6) < 24.0

@@ -23,8 +23,11 @@ from mumkit import (
     optimal_mums,
     random_separable,
 )
-from mumkit import conjugate_mums
+from mumkit import build_mums, conjugate_mums, optimal_kappa, t_from_kappa
 from mumkit import serialize as ser
+from mumkit.cli import run_cli
+
+from oracles import traced_peak_mib
 
 
 def test_matrix_round_trip_exact():
@@ -359,7 +362,7 @@ def test_plain_objects_are_json_text():
     assert list(ser.iterencode(obj)) == [ser.dumps(obj)]
 
 
-@pytest.mark.parametrize("payload, message", [
+MISSING_KEYS = [
     ({"kappa": 0.5, "elements": [[{"dim": 1, "entries": [[1.0, 0.0]]}]]},
      "measurement set payload is missing the key 'd'"),
     ({"d": 2, "elements": [[{"dim": 1, "entries": [[1.0, 0.0]]}]]},
@@ -369,7 +372,10 @@ def test_plain_objects_are_json_text():
     ([{"n": 1, "matrix": {"dim": 1, "entries": [[1.0, 0.0]]}}],
      "operator basis item 0 is missing the key 'b'"),
     ([{"n": 1, "b": 1}], "operator basis item 0 is missing the key 'matrix'"),
-])
+]
+
+
+@pytest.mark.parametrize("payload, message", MISSING_KEYS)
 def test_missing_key_names_the_key_and_the_payload(payload, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ser.value_from_obj(payload)
@@ -380,14 +386,19 @@ def _without_d(payload):
     return payload
 
 
-@pytest.mark.parametrize("payload, message", [
+WITHOUT_D = {
     # a 4 x 4 state loaded as d = 2, and a 5 x 5 one was refused as "a state for d=2"
-    (_without_d(ser.value_to_obj(isotropic(2, 0.5))), "state payload is missing the key 'd'"),
-    ({"rho": ser.matrix_to_obj(np.eye(5) / 5)}, "state payload is missing the key 'd'"),
-    (_without_d(ser.value_to_obj(mub_prime(3))), "basis set payload is missing the key 'd'"),
+    "state": (_without_d(ser.value_to_obj(isotropic(2, 0.5))),
+              "state payload is missing the key 'd'"),
+    "state-5x5": ({"rho": ser.matrix_to_obj(np.eye(5) / 5)}, "state payload is missing the key 'd'"),
+    "basis-set": (_without_d(ser.value_to_obj(mub_prime(3))),
+                  "basis set payload is missing the key 'd'"),
     # an empty list of bases loaded as d = 0
-    ({"bases": []}, "basis set payload is missing the key 'd'"),
-], ids=["state", "state-5x5", "basis-set", "basis-set-empty"])
+    "basis-set-empty": ({"bases": []}, "basis set payload is missing the key 'd'"),
+}
+
+
+@pytest.mark.parametrize("payload, message", list(WITHOUT_D.values()), ids=list(WITHOUT_D))
 def test_loaders_require_d(payload, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ser.value_from_obj(payload)
@@ -468,3 +479,120 @@ FROZEN_TEXTS = {
 def test_payload_text_is_frozen(value, text):
     assert ser.dumps(value) == text
     assert "".join(ser.iterencode(value)) == text
+
+
+# -- the reader: load_path against the plain tree, value_from_obj(json.loads(text)) --
+
+_ONE = {"dim": 1, "entries": [[1.0, 0.0]]}
+_SIGNED = {"dim": 2, "entries": [[0.1, -0.0], [-0.0, 0.0], [1e-300, -2.5], [0.5, 0.0]]}
+
+
+def _labels_swapped():
+    items = ser.value_to_obj(gell_mann_basis(3))
+    items[2]["n"], items[5]["n"] = items[5]["n"], items[2]["n"]
+    return items
+
+
+def _with(value, **slots):
+    obj = ser.value_to_obj(value)
+    obj.update(slots)
+    return obj
+
+
+# Every malformed payload above, as a file.  The reader turns each
+# well-formed matrix object into its array, so the cases after the first
+# groups put one where the loaders take no matrix.
+MALFORMED_PAYLOADS = {
+    **{f"rho-{k}": {"d": 1, "rho": m} for k, m in WRONG_TYPED_MATRICES.items()},
+    "rho-without-dim": {"d": 1, "rho": {"entries": []}},
+    "rho-short": {"d": 2, "rho": {"dim": 2, "entries": [[1.0, 0.0]]}},
+    "rho-dim-0": {"d": 1, "rho": {"dim": 0, "entries": []}},
+    "rho-dim--1": {"d": 1, "rho": {"dim": -1, "entries": []}},
+    "items-not-objects": [1, 2],
+    "label-n-null": [{"n": None, "b": 1, "matrix": _ONE}],
+    "labels-swapped": _labels_swapped(),
+    "bases-number": {"d": 1, "bases": 5},
+    "elements-number": {"d": 1, "kappa": 1.0, "elements": 5},
+    **{f"kappa-{k!r}": {"d": 1, "kappa": k, "elements": [[_ONE]]} for k in ("1", None, 10 ** 400)},
+    "d-list": {"d": [1], "rho": _ONE},
+    **{f"t-{t!r}": _with(optimal_mums(2), t=t) for t in (math.nan, math.inf, -math.inf, True)},
+    **{f"unrecognized-{obj!r}": obj for obj in ({"foo": 1}, {}, 5, "rho", None, True)},
+    **{f"missing-key-{i}": payload for i, (payload, _) in enumerate(MISSING_KEYS)},
+    **{f"without-d-{k}": payload for k, (payload, _) in WITHOUT_D.items()},
+    "payload-is-matrix": _ONE,
+    "row-is-matrix": {"d": 1, "kappa": 1.0, "elements": [_ONE]},
+    "item-is-matrix": [_ONE],
+    "label-is-matrix": [{"n": _SIGNED, "b": 1, "matrix": _ONE}],
+    "elements-is-matrix": {"d": 2, "kappa": 1.0, "elements": _ONE},
+    "bases-is-matrix": {"d": 2, "bases": _ONE},
+    "state-d-is-matrix": {"d": _SIGNED, "rho": _ONE},
+    "mums-d-is-matrix": _with(optimal_mums(2), d=_SIGNED),
+    "kappa-is-matrix": _with(optimal_mums(2), kappa=_SIGNED),
+    "t-is-matrix": _with(optimal_mums(2), t=_ONE),
+}
+
+
+def _reference_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _outcomes(capsys, path):
+    """(exit code, stdout, stderr) of verify and of detect --state on one file."""
+    got = []
+    for argv in (["verify", path], ["detect", "--state", path]):
+        code = run_cli(argv)
+        got.append((code, *capsys.readouterr()))
+    return got
+
+
+@pytest.mark.parametrize("payload", list(MALFORMED_PAYLOADS.values()), ids=list(MALFORMED_PAYLOADS))
+def test_reader_refuses_each_payload_as_the_plain_tree_does(tmp_path, capsys, monkeypatch, payload):
+    text = json.dumps(payload)
+    with pytest.raises(ValueError) as refusal:
+        ser.value_from_obj(json.loads(text))
+    path = tmp_path / "payload.json"
+    path.write_text(text)
+    got = _outcomes(capsys, str(path))
+    assert got[0] == (2, "", f"error: {refusal.value}\n")
+    monkeypatch.setattr(ser, "load_path", _reference_load)
+    assert _outcomes(capsys, str(path)) == got
+
+
+def test_matrix_object_with_another_key_is_read_as_a_dict(tmp_path, capsys, monkeypatch):
+    obj = ser.value_to_obj(isotropic(2, 0.3))
+    obj["rho"]["note"] = "kept"
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(obj))
+    assert isinstance(ser.load_path(str(path))["rho"], dict)
+    got = _outcomes(capsys, str(path))
+    assert [code for code, _, _ in got] == [0, 0]
+    monkeypatch.setattr(ser, "load_path", _reference_load)
+    assert _outcomes(capsys, str(path)) == got
+
+
+def test_matrix_object_in_a_scalar_slot_is_quoted_with_float_entries(tmp_path):
+    # the one wording the reader cannot keep: the plain tree quotes [[1, 0]]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"d": {"dim": 1, "entries": [[1, 0]]}, "rho": _ONE}))
+    with pytest.raises(ValueError, match=re.escape("[[1, 0]]")):
+        ser.value_from_obj(_reference_load(path))
+    with pytest.raises(ValueError, match=re.escape("d must be an integer, got "
+                                                   "{'dim': 1, 'entries': [[1.0, 0.0]]}")):
+        ser.value_from_obj(ser.load_path(path))
+
+
+@pytest.mark.parametrize("value", [gell_mann_basis(4), mub_prime(5), optimal_mums(6),
+                                   random_separable(3, 4, 8)], ids=type)
+def test_reader_loads_what_the_plain_tree_loads(tmp_path, value):
+    path = tmp_path / "value.json"
+    path.write_text(ser.dumps(value))
+    got, want = ser.value_from_obj(ser.load_path(path)), ser.value_from_obj(_reference_load(path))
+    assert ser.dumps(got) == ser.dumps(want) == path.read_text()
+
+
+def test_reading_the_d16_measurement_set_holds_one_matrix_at_a_time(tmp_path):
+    path = str(tmp_path / "m16.json")
+    assert run_cli(["gen-mums", "--d", "16", "-o", path]) == 0
+    # the whole list tree took 11.8 MiB
+    assert traced_peak_mib(lambda: ser.value_from_obj(ser.load_path(path))) < 4.0
