@@ -425,7 +425,7 @@ def _cmd_verify(args) -> VerificationReport:
 
 def _cmd_detect(args) -> DetectionReport:
     if args.criterion != "mum":
-        # only the mum criterion builds a measurement pair
+        # only the mum criterion builds its measurement pair from these flags
         _refuse_ignored(f"--criterion {args.criterion}",
                         {"--pairing": args.pairing, "--kappa": args.kappa, "--t": args.t,
                          "--max-t": args.max_t or None})

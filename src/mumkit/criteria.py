@@ -2,17 +2,18 @@
 
 The central quantity is the paired coincidence sum
 
-    J(rho) = sum_{b=1}^{d+1} sum_{n=1}^{d} Tr((P_n^(b) (x) Q_n^(b)) rho)
+    J(rho) = sum_{b=1}^{M} sum_{n=1}^{d} Tr((P_n^(b) (x) Q_n^(b)) rho)
 
-over two measurement sets with equal purity kappa.  Separable states
-obey J <= 1 + kappa, so any larger value certifies entanglement.
+over two measurement sets of the same M settings and purity kappa.
+Separable states obey J <= kappa + (M-1)/d, which is 1 + kappa for a
+complete set (M = d+1), so any larger value certifies entanglement.
 
 J is evaluated as Tr(W rho) with the witness W = sum_{b,n} P_n^(b) (x) Q_n^(b).
 With rho realigned into R, Tr((A (x) B) rho) = vec(A) @ R @ vec(B), so J
 is one inner product of R with the realigned witness P^T Q, where the
 rows of P and Q are the flattened elements.  The correlation-matrix
 trace is the same form with the operator basis on both sides, the
-unbiased-bases sum the same form on the bases' rank-one projectors
+unbiased-bases sum is J itself on the bases lifted to rank-one settings
 (kappa = 1) paired with their conjugates, and each setting's joint
 distribution is P_b @ R @ Q_b^T.  Under the conjugate pairing J also has
 the fidelity form
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import require_hermitian
-from .mub import BasisSet, projectors, verify_mub
+from .mub import BasisSet, mums_from_mubs
 from .mum import MumSet, conjugate_mums, rotate_mums
 from .operator_basis import OperatorBasis, gell_mann_basis, weyl_operator
 from .rng import Xoshiro256
@@ -88,6 +89,8 @@ def _check_pairing(state: BipartiteState, pset: MumSet, qset: MumSet) -> None:
         raise ValueError(
             f"dimension mismatch: state d={state.d}, measurement sets d={pset.d}, d={qset.d}"
         )
+    if len(pset.elements) != len(qset.elements):
+        raise ValueError(f"setting count mismatch: {len(pset.elements)} vs {len(qset.elements)}")
     if not abs(pset.kappa - qset.kappa) <= _KAPPA_MATCH_TOL:
         raise ValueError(
             f"measurement sets must share the purity parameter: {pset.kappa!r} vs {qset.kappa!r}"
@@ -130,12 +133,17 @@ def j_value(state: BipartiteState, pset: MumSet, qset: MumSet) -> float:
     return _j_evaluator(pset, qset)(state)
 
 
+def _j_report(criterion: str, state, pset, qset, tol: float, **extra) -> DetectionReport:
+    """J against its separable bound kappa + (M-1)/d over the sets' M settings."""
+    bound = pset.kappa + (len(pset.elements) - 1) / pset.d
+    return _report(criterion, j_value(state, pset, qset), bound, tol, state.d, **extra)
+
+
 def mum_criterion(
     state: BipartiteState, pset: MumSet, qset: MumSet, tol: float = VERDICT_TOL
 ) -> DetectionReport:
-    """Separability test J(rho) <= 1 + kappa."""
-    return _report("mum", j_value(state, pset, qset), 1.0 + pset.kappa, tol, state.d,
-                   kappa=pset.kappa)
+    """Separability test J(rho) <= kappa + (M-1)/d, which is 1 + kappa for d+1 settings."""
+    return _j_report("mum", state, pset, qset, tol, kappa=pset.kappa)
 
 
 def j_isotropic_closed(d: int, kappa: float, alpha: float) -> float:
@@ -151,20 +159,11 @@ def mub_criterion(
     The second subsystem is measured in the conjugated basis, the
     pairing under which the maximally entangled state shows perfect
     correlations in every basis (and the isotropic value takes the form
-    m(alpha + (1-alpha)/d)).  I_m is the witness contraction of
-    :func:`j_value` on the bases' rank-one projectors paired with their
-    conjugates; it needs no complete set.
+    m(alpha + (1-alpha)/d)).  I_m is J and its bound on the bases lifted by
+    :func:`mumkit.mub.mums_from_mubs` (kappa = 1); it needs no complete set.
     """
-    if bases.m < 2:
-        raise ValueError(f"need at least two bases, got {bases.m}")
-    if bases.d != state.d:
-        raise ValueError(f"dimension mismatch: state d={state.d}, bases d={bases.d}")
-    report = verify_mub(bases, tol=1e-10)
-    if not report.passed:
-        raise ValueError(f"bases failed MUB verification: {report.summary()}")
-    p = projectors(bases).reshape(-1, state.d * state.d)
-    return _report("mub", _contraction(p, p.conj())(state), 1.0 + (bases.m - 1) / bases.d,
-                   tol, state.d, params={"m": bases.m})
+    pset = mums_from_mubs(bases)
+    return _j_report("mub", state, pset, conjugate_mums(pset), tol, params={"m": bases.m})
 
 
 def correlation_bound(d: int) -> float:
@@ -193,13 +192,19 @@ def correlation_criterion(state: BipartiteState, tol: float = VERDICT_TOL) -> De
                    correlation_bound(d), tol, d)
 
 
+def _require_complete(pset: MumSet) -> None:
+    if len(pset.elements) != pset.d + 1:
+        raise ValueError(f"identity needs d+1 = {pset.d + 1} settings, got {len(pset.elements)}")
+
+
 def j_correlation_identity(state: BipartiteState, pset: MumSet) -> tuple[float, float]:
-    """Both sides of J(rho, P, P) = (d+1)/d + (2(d kappa - 1)/(d-1)) Tr(T).
+    """Both sides of J(rho, P, P) = (d+1)/d + (2(d kappa - 1)/(d-1)) Tr(T) for d+1 settings.
 
     Tr(T) is taken over the operator basis the set was built from, so a
     set without construction provenance (t and source basis) raises
-    ValueError.
+    ValueError, and so does a set of fewer settings.
     """
+    _require_complete(pset)
     if pset.t is None or pset.source_basis is None:
         raise ValueError("measurement set does not carry construction provenance")
     d = state.d
@@ -233,7 +238,8 @@ def bell_choice(pset: MumSet, p) -> tuple[MumSet, float]:
 
 
 def pure_identity_check(pure: np.ndarray, pset: MumSet) -> tuple[float, float]:
-    """Both sides of sum_{b,n} Tr(P_n^(b) rho)^2 = 1 + kappa for pure rho."""
+    """Both sides of sum_{b,n} Tr(P_n^(b) rho)^2 = 1 + kappa for pure rho and d+1 settings."""
+    _require_complete(pset)
     rho = require_hermitian(pure, what="pure state")
     if rho.shape != (pset.d, pset.d):
         raise ValueError(f"pure state must be {pset.d} x {pset.d}, got {rho.shape}")
@@ -250,7 +256,7 @@ def pure_identity_check(pure: np.ndarray, pset: MumSet) -> tuple[float, float]:
 def setting_distributions(
     state: BipartiteState, pset: MumSet, qset: MumSet
 ) -> list[np.ndarray]:
-    """Joint outcome distributions q_b[n, n'] = Tr((P_n^(b) (x) Q_n'^(b)) rho)."""
+    """Joint outcome distributions q_b[n, n'] = Tr((P_n^(b) (x) Q_n'^(b)) rho), one per setting."""
     return _setting_distributions(state, pset, qset, -1e-12)
 
 
@@ -259,8 +265,8 @@ def _setting_distributions(state, pset, qset, floor: float) -> list[np.ndarray]:
     _check_pairing(state, pset, qset)
     r = _realigned(state)
     out = []
-    for b in range(state.d + 1):
-        q = pset.elements[b].reshape(state.d, -1) @ r @ qset.elements[b].reshape(state.d, -1).T
+    for b, (ps, qs) in enumerate(zip(pset.elements, qset.elements)):
+        q = ps.reshape(state.d, -1) @ r @ qs.reshape(state.d, -1).T
         # written to refuse the NaN a non-finite state leaves
         worst_imag = float(np.abs(q.imag).max())
         if not worst_imag <= _IMAG_TOL:
@@ -297,7 +303,7 @@ def simulate_counts(
 ) -> ShotEstimate:
     """Sample joint outcomes per setting and estimate J from coincidences.
 
-    One seeded stream of ``shots_per_setting * (d+1)`` uniforms is drawn
+    One seeded stream of ``shots_per_setting * M`` uniforms is drawn
     and cut back to back, one slice per setting.  Each shot is an
     inverse-CDF draw from the setting's d^2 joint outcome distribution:
     a uniform u falls on outcome j when cdf[j-1] <= u < cdf[j].  Each
@@ -317,8 +323,7 @@ def simulate_counts(
     if shots_per_setting < 1:
         raise ValueError(f"need at least one shot per setting, got {shots_per_setting}")
     dists = _setting_distributions(state, pset, qset, -np.inf)
-    d = state.d
-    probs = np.clip(np.reshape(dists, (d + 1, d * d)), 0.0, None)
+    probs = np.clip(np.reshape(dists, (len(dists), -1)), 0.0, None)
     totals = probs.sum(axis=1)
     off = ~(np.abs(totals - 1.0) <= tol)
     if off.any():
@@ -328,10 +333,10 @@ def simulate_counts(
     cdf[:, -1] = 1.0
     # one stream for all settings, consumed back to back: setting k takes
     # draws [k * shots_per_setting, (k + 1) * shots_per_setting)
-    draws = Xoshiro256(seed).uniforms(shots_per_setting * (d + 1))
-    sorted_draws = np.sort(draws.reshape(d + 1, shots_per_setting), axis=1)
+    draws = Xoshiro256(seed).uniforms(shots_per_setting * len(probs))
+    sorted_draws = np.sort(draws.reshape(-1, shots_per_setting), axis=1)
     below = np.array([np.searchsorted(row, c, side="left") for row, c in zip(sorted_draws, cdf)])
-    counts = np.diff(below, axis=1, prepend=0).reshape(d + 1, d, d)
+    counts = np.diff(below, axis=1, prepend=0).reshape(-1, state.d, state.d)
     j_estimate = 0.0
     var = 0.0
     for hits in np.trace(counts, axis1=1, axis2=2).tolist():

@@ -19,15 +19,18 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def as_stack(a, shape: tuple[int, ...] | None, what: str) -> np.ndarray:
+def as_stack(a, shape, what: str) -> np.ndarray:
     """``a`` as a complex array of exactly ``shape`` (None: none fits), else ValueError(what).
 
+    ``shape`` may be a function of the leading count (0 for a bare number).
     An input with no entries takes an empty ``shape``, such as (0, d, d).
     """
     try:
         arr = np.asarray(a, dtype=complex)
     except ValueError:  # a ragged grid
         arr = None
+    if arr is not None and callable(shape):
+        shape = shape(len(arr) if arr.ndim else 0)
     if arr is not None and arr.size == 0 and shape is not None and 0 in shape:
         arr = arr.reshape(shape)
     if arr is None or arr.shape != shape:

@@ -33,7 +33,7 @@ class BasisSet:
     def __post_init__(self):
         d = self.d
         object.__setattr__(self, "bases", as_stack(
-            self.bases, (len(self.bases), d, d) if d >= 2 else None,
+            self.bases, lambda m: (m, d, d) if d >= 2 else None,
             f"a basis set for d={d} is an (m, d, d) array of matrices with d >= 2"))
 
     @property
@@ -125,18 +125,10 @@ def mub_triple_d6() -> BasisSet:
     return tensor_product_bases(mub_prime(2), mub_prime(3))
 
 
-def projectors(bs: BasisSet) -> np.ndarray:
-    """Rank-one projectors |b_n><b_n| of every basis vector, an (m, d, d, d) array [k][n]."""
-    v = bs.bases.transpose(0, 2, 1)
-    return v[..., :, None] * v[..., None, :].conj()
-
-
 def mums_from_mubs(bs: BasisSet) -> MumSet:
-    """Lift a complete MUB set into rank-one projective measurements (kappa = 1)."""
-    d = bs.d
-    if bs.m != d + 1:
-        raise ValueError(f"need d+1 = {d + 1} bases to form a complete measurement set, got {bs.m}")
+    """Lift m >= 1 unbiased bases into m settings of their rank-one projectors (kappa = 1)."""
     report = verify_mub(bs)
     if not report.passed:
         raise ValueError(f"basis set failed MUB verification: {report.summary()}")
-    return MumSet(d=d, elements=projectors(bs), kappa=1.0, t=None)
+    v = bs.bases.transpose(0, 2, 1)
+    return MumSet(d=bs.d, elements=v[..., :, None] * v[..., None, :].conj(), kappa=1.0, t=None)

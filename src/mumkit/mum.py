@@ -44,7 +44,7 @@ class PositivityError(ValueError):
 
 @dataclass(frozen=True)
 class MumSet:
-    """d+1 measurements of d POVM elements each, one (d+1, d, d, d) array.
+    """M settings of d POVM elements each, one (M, d, d, d) array with 1 <= M <= d+1.
 
     ``elements[b-1][n-1]`` is P_n^(b).  Any nested sequence of that shape
     is accepted and stored as a complex array.
@@ -59,8 +59,8 @@ class MumSet:
     def __post_init__(self):
         d = self.d
         object.__setattr__(self, "elements", as_stack(
-            self.elements, (d + 1, d, d, d) if d >= 2 else None,
-            f"a measurement set for d={d} is a (d+1, d, d, d) array of operators with d >= 2"))
+            self.elements, lambda m: (m, d, d, d) if d >= 2 and 1 <= m <= d + 1 else None,
+            f"a measurement set for d={d} is an (m, d, d, d) array with d >= 2, 1 <= m <= d+1"))
 
 
 def optimal_kappa(d: int) -> float:

@@ -5,11 +5,23 @@ import tracemalloc
 import numpy as np
 
 from mumkit import BipartiteState, optimal_mums
+from mumkit.criteria import _contraction
 
 
 def trace_product(a, b):
     """Tr(a @ b) without forming the product, as one einsum."""
     return complex(np.einsum("ij,ji->", np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+
+
+def mub_by_projector_contraction(state, bases):
+    """The MUB criterion's (value, bound) by the projector contraction it ran before it became J.
+
+    The rank-one projectors of every basis vector, flattened to (m d, d^2)
+    rows, are contracted with their conjugates; the bound is 1 + (m-1)/d.
+    """
+    v = bases.bases.transpose(0, 2, 1)
+    p = (v[..., :, None] * v[..., None, :].conj()).reshape(-1, bases.d * bases.d)
+    return _contraction(p, p.conj())(state), 1.0 + (bases.m - 1) / bases.d
 
 
 def near_psd_state(e=5e-7):

@@ -684,6 +684,24 @@ def test_verify_malformed_payload_names_the_problem(tmp_path, capsys, name, mess
     assert run(capsys, ["verify", str(bad)]) == (2, "", message)
 
 
+def test_verify_takes_a_partial_measurement_set_and_refuses_d_plus_2_settings(tmp_path, capsys):
+    # a set of 1 to d+1 settings loads and verifies; a fifth setting at d = 3 is malformed
+    m3 = tmp_path / "m3.json"
+    assert run(capsys, ["gen-mums", "--d", "3", "-o", str(m3)])[0] == 0
+    payload = json.loads(m3.read_text())
+    partial = tmp_path / "m3_2.json"
+    partial.write_text(json.dumps(dict(payload, elements=payload["elements"][:2])))
+    code, stdout, err = run(capsys, ["verify", str(partial)])
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["passed"] is True
+    five = tmp_path / "m3_5.json"
+    five.write_text(json.dumps(dict(payload, elements=payload["elements"] + payload["elements"][:1])))
+    code, stdout, err = run(capsys, ["verify", str(five)])
+    assert (code, stdout) == (2, "")
+    assert err == ("error: a measurement set for d=3 is an (m, d, d, d) array with d >= 2, "
+                   "1 <= m <= d+1, got shape (5, 3, 3, 3)\n")
+
+
 def _subtree_paths(obj, prefix=()):
     # every key path into obj, following the first two items of each list
     yield prefix

@@ -40,7 +40,7 @@ from mumkit import (
     weyl_operator,
 )
 
-from oracles import near_psd_state, trace_product
+from oracles import mub_by_projector_contraction, near_psd_state, trace_product
 
 
 def j_by_explicit_kron(state, pset, qset):
@@ -674,3 +674,105 @@ def test_mub_lift_reduction_to_i_m():
         j = j_value(st, ms, conjugate_mums(ms))
         i_m = mub_criterion(st, bases).value
         assert j == pytest.approx(i_m, abs=1e-9)
+
+
+def _prefix(ms, m):
+    # the first m settings of a measurement set, its purity and provenance kept
+    return dataclasses.replace(ms, elements=ms.elements[:m])
+
+
+@pytest.mark.parametrize("make", [lambda: mub_prime(2), lambda: mub_prime(3),
+                                  lambda: mub_prime(5), lambda: mub_prime(7),
+                                  lambda: mub_prime(11), mub_triple_d6],
+                         ids=["d2", "d3", "d5", "d7", "d11", "d6-triple"])
+def test_mub_criterion_matches_projector_contraction_bitwise(make):
+    # the MUB criterion is J on the lifted bases: every prefix of m >= 2 bases
+    # gives the value and bound of the projector contraction bit for bit
+    bases = make()
+    d = bases.d
+    states = [isotropic(d, 0.0), isotropic(d, 0.3), max_entangled(d), random_separable(d, 4, 11)]
+    states += [random_density(d, 60 + seed) for seed in range(4)]
+    for m in range(2, bases.m + 1):
+        prefix = BasisSet(d=d, bases=bases.bases[:m])
+        for st in states:
+            report = mub_criterion(st, prefix)
+            assert (report.value, report.bound) == mub_by_projector_contraction(st, prefix), m
+            assert (report.criterion, report.kappa, report.params) == ("mub", None, {"m": m})
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_mub_criterion_of_one_basis_has_bound_one(d):
+    # one basis reads inconclusive: no state exceeds the bound 1, the maximally
+    # entangled one included
+    report = mub_criterion(max_entangled(d), BasisSet(d=d, bases=mub_prime(d).bases[:1]))
+    assert report.bound == 1.0 and report.params == {"m": 1}
+    assert abs(report.value - 1.0) <= 1e-15
+    assert report.verdict == "inconclusive"
+
+
+def test_mub_criterion_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch: state d=2, measurement sets d=3"):
+        mub_criterion(isotropic(2, 0.5), mub_prime(3))
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+@pytest.mark.parametrize("alpha", [0.0, 0.35, 1.0])
+def test_j_of_isotropic_on_a_prefix(d, alpha):
+    # J over M settings of the conjugate pairing is M (alpha kappa + (1 - alpha)/d)
+    ms = optimal_mums(d)
+    for m in range(1, d + 2):
+        pset = _prefix(ms, m)
+        j = j_value(isotropic(d, alpha), pset, conjugate_mums(pset))
+        assert abs(j - m * (alpha * ms.kappa + (1 - alpha) / d)) <= 1e-12, m
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_mum_criterion_bound_of_a_complete_set_is_one_plus_kappa(d):
+    ms = optimal_mums(d)
+    assert mum_criterion(isotropic(d, 0.5), ms, conjugate_mums(ms)).bound == 1.0 + ms.kappa
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_mum_criterion_bound_of_a_prefix(d):
+    ms = optimal_mums(d)
+    for m in range(1, d + 2):
+        pset = _prefix(ms, m)
+        report = mum_criterion(isotropic(d, 0.5), pset, conjugate_mums(pset))
+        assert report.bound == ms.kappa + (m - 1) / d
+        assert report.kappa == ms.kappa
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_simulate_counts_on_a_prefix_takes_the_first_grids(d):
+    # the stream is cut back to back, so M settings draw the first M slices of d+1
+    ms = optimal_mums(d)
+    state = isotropic(d, 0.7)
+    full = simulate_counts(state, ms, conjugate_mums(ms), 50, seed=4)
+    for m in range(1, d + 2):
+        pset = _prefix(ms, m)
+        est = simulate_counts(state, pset, conjugate_mums(pset), 50, seed=4)
+        assert len(est.counts) == m
+        for got, want in zip(est.counts, full.counts):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_pairing_refuses_unequal_setting_counts():
+    ms = optimal_mums(3)
+    message = "setting count mismatch: 4 vs 2"
+    for call in (j_value, mum_criterion, setting_distributions,
+                 lambda st, p, q: simulate_counts(st, p, q, 10, 1)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(isotropic(3, 0.5), ms, _prefix(conjugate_mums(ms), 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ms: pure_identity_check(np.diag([1.0, 0.0, 0.0]).astype(complex), ms),
+    lambda ms: j_correlation_identity(isotropic(3, 0.5), ms),
+], ids=["pure_identity_check", "j_correlation_identity"])
+def test_complete_set_identities_refuse_a_partial_set(call):
+    # both are identities of all d+1 settings; on 2 of them the pure one read (0.667, 1.556)
+    ms = optimal_mums(3)
+    call(ms)
+    for m in (1, 2, 3):
+        with pytest.raises(ValueError, match=f"^identity needs d\\+1 = 4 settings, got {m}$"):
+            call(_prefix(ms, m))

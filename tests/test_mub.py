@@ -13,7 +13,6 @@ from mumkit import (
     verify_mub,
     verify_mums,
 )
-from mumkit.mub import projectors
 
 
 def test_qubit_mubs():
@@ -86,7 +85,7 @@ def test_per_basis_completeness(d):
 def test_projectors_match_outer_products(make):
     # the per-column outer products mums_from_mubs built before the broadcast
     bs = make()
-    got = projectors(bs)
+    got = mums_from_mubs(bs).elements
     assert got.shape == (bs.m, bs.d, bs.d, bs.d)
     for k, b in enumerate(bs.bases):
         for n in range(bs.d):
@@ -110,10 +109,20 @@ def test_lift_d3_passes_mum_verification():
     assert report.details["kappa_inferred"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lift_needs_complete_set():
-    bs = mub_prime(3)
-    with pytest.raises(ValueError, match="d\\+1"):
-        mums_from_mubs(BasisSet(d=3, bases=bs.bases[:3]))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_lift_of_every_prefix(m):
+    # any m >= 1 unbiased bases lift to m settings: the first m of the complete lift
+    full = mums_from_mubs(mub_prime(3))
+    ms = mums_from_mubs(BasisSet(d=3, bases=mub_prime(3).bases[:m]))
+    assert ms.elements.shape == (m, 3, 3, 3) and ms.kappa == 1.0 and ms.t is None
+    assert ms.elements.tobytes() == full.elements[:m].tobytes()
+    report = verify_mums(ms, tol=1e-10)
+    assert report.passed, report.summary()
+
+
+def test_lift_of_no_bases_fails_verification():
+    with pytest.raises(ValueError, match="MUB verification"):
+        mums_from_mubs(BasisSet(d=3, bases=[]))
 
 
 def test_lift_rejects_biased_bases():
@@ -153,6 +162,7 @@ def test_bases_are_one_array():
     (1, [np.eye(1), np.eye(1)], "shape (2, 1, 1)"),
     (0, [], "shape (0,)"),
     (3, [np.eye(3), np.eye(2)], "a ragged grid"),
+    (2, 5, "shape ()"),
 ])
 def test_mis_shaped_basis_set_rejected(d, bases, got):
     with pytest.raises(ValueError, match=r"with d >= 2, got " + re.escape(got)):

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +162,30 @@ def test_elements_are_one_array():
     assert ms.elements.dtype == complex
     nested = MumSet(d=3, elements=tuple(tuple(row) for row in ms.elements), kappa=ms.kappa)
     assert np.array_equal(nested.elements, ms.elements)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_every_prefix_of_a_complete_set_verifies(d):
+    # the relations verify_mums checks hold setting by setting, so any first M settings pass
+    ms = optimal_mums(d)
+    for m in range(1, d + 2):
+        prefix = dataclasses.replace(ms, elements=ms.elements[:m])
+        assert prefix.elements.shape == (m, d, d, d)
+        report = verify_mums(prefix)
+        assert report.passed, (m, report.summary())
+
+
+@pytest.mark.parametrize("elements, got", [
+    ([], "shape (0,)"),
+    (np.zeros((0, 3, 3, 3)), "shape (0, 3, 3, 3)"),
+    (np.concatenate([optimal_mums(3).elements] * 2)[:5], "shape (5, 3, 3, 3)"),
+    (5, "shape ()"),
+], ids=["empty-list", "no-settings", "d+2-settings", "bare-number"])
+def test_mum_set_refuses_a_setting_count_outside_1_to_d_plus_1(elements, got):
+    message = ("a measurement set for d=3 is an (m, d, d, d) array with d >= 2, 1 <= m <= d+1, "
+               f"got {got}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MumSet(d=3, elements=elements, kappa=5 / 9)
 
 
 @pytest.mark.parametrize("d", list(range(2, 9)) + [16])
