@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import itertools
 import os
 import stat
@@ -489,17 +488,7 @@ _COMMANDS = {
 
 
 def run_cli(argv: list[str]) -> int:
-    """Run one command, write its result and pick the exit code, with the collector paused.
-
-    A whole d = 16 payload is an acyclic tree of about 70k small
-    ``[re, im]`` lists, which started about 100 collections that freed
-    nothing.  Neither direction builds it now: the reader frees each
-    matrix's lists before the next, and matrix payloads are encoded from
-    their arrays.  The collector's previous state is restored on the way
-    out.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
+    """Run one command, write its result and pick the exit code."""
     try:
         args = _build_parser().parse_args(argv)
         if not 0.0 <= args.tol < np.inf:
@@ -515,9 +504,6 @@ def run_cli(argv: list[str]) -> int:
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def main() -> None:

@@ -336,6 +336,11 @@ def load_path(path: str):
 
     ``value_from_obj(load_path(path))`` is ``value_from_obj(json.load(fh))``,
     errors included, but holds one matrix's ``[re, im]`` lists at a time.
+    A file nested too deeply for the decoder is refused with ValueError,
+    where ``json.load`` raises RecursionError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_hook=_read_matrix)
+        try:
+            return json.load(fh, object_hook=_read_matrix)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to parse") from None

@@ -206,6 +206,8 @@ def ppt_minima(d: int, rhos: np.ndarray) -> np.ndarray:
 
 def random_pure(d: int, seed: int) -> np.ndarray:
     """Single-qudit pure density matrix from a seeded Gaussian vector."""
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     gen = Xoshiro256(seed)
     psi = gen.complex_normals(d)
     psi /= np.linalg.norm(psi)
@@ -222,6 +224,8 @@ def random_separable(d: int, k: int, seed: int) -> BipartiteState:
     the same bits as drawing each vector on its own, since a request of
     2d normals leaves no Box-Muller spare.
     """
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     if k < 1:
         raise ValueError(f"need at least one product term, got k={k}")
     gen = Xoshiro256(seed)
@@ -241,6 +245,8 @@ def random_separable(d: int, k: int, seed: int) -> BipartiteState:
 
 def random_density(d: int, seed: int) -> BipartiteState:
     """Generic full-rank density matrix on d (x) d (normalized G G^H)."""
+    if d < 1:
+        raise ValueError(f"dimension must be at least 1, got {d}")
     gen = Xoshiro256(seed)
     n = d * d
     g = gen.complex_normals(n * n).reshape(n, n)

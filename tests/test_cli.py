@@ -591,6 +591,18 @@ def test_unrecognized_payload_exits_2(tmp_path, capsys):
     assert "unrecognized" in err
 
 
+@pytest.mark.parametrize("text", ["[" * 3000, '{"d": 2, "rho": ' + "[" * 3000],
+                         ids=["list", "in-object"])
+@pytest.mark.parametrize("argv", [["verify"], ["detect", "--state"],
+                                  ["detect", "--family", "bell-diagonal", "--d", "2", "--p"]],
+                         ids=["verify", "state", "p-grid"])
+def test_file_nested_too_deeply_exits_2(tmp_path, capsys, text, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    assert run(capsys, argv + [str(deep)]) == (
+        2, "", f"error: {deep} is nested too deeply to parse\n")
+
+
 def test_state_file_of_another_kind_exits_2_naming_the_file(tmp_path, capsys):
     path = tmp_path / "m3.json"
     assert run(capsys, ["gen-mums", "--d", "3", "-o", str(path)])[0] == 0
@@ -893,45 +905,38 @@ def test_run_cli_restores_the_collector(tmp_path, capsys, gc_state, enabled):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 def test_run_cli_restores_the_collector_when_a_command_raises(monkeypatch, gc_state, enabled):
-    seen = []
-
     def boom(args):
-        seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._COMMANDS, "gen-mub", boom)
     gc.enable() if enabled else gc.disable()
     with pytest.raises(RuntimeError, match="boom"):
         run_cli(["gen-mub", "--d", "3"])
-    assert seen == [False]
     assert gc.isenabled() is enabled
 
 
 def test_large_artifacts_start_no_collection(tmp_path, capsys, gc_state):
-    # a d = 16 set is about 70k [re, im] lists; with the collector on, writing
-    # or reading one started about 100 collections, none of which freed anything
+    # a whole d = 16 set is about 70k [re, im] lists, enough for about 100
+    # collections; the writer encodes from the arrays and the reader holds one
+    # matrix's lists at a time, so from a fresh collection none of these starts one
     started = []
 
     def count(phase, info):
-        # only collections started while run_cli is on the stack; the one that
-        # may follow once the collector is enabled again is not counted
-        frame = sys._getframe(1)
-        while phase == "start" and frame is not None:
-            if frame.f_code is run_cli.__code__:
-                started.append(info["generation"])
-                break
-            frame = frame.f_back
+        if phase == "start":
+            started.append(info["generation"])
 
     out = str(tmp_path / "mums16.json")
+    _build_parser()  # built once per process, not per payload
     gc.enable()
-    gc.callbacks.append(count)
-    try:
-        assert run(capsys, ["gen-mums", "--d", "16", "-o", out])[0] == 0
-        assert run(capsys, ["verify", out])[0] == 0
-    finally:
-        gc.callbacks.remove(count)
-    assert started == []
-    assert gc.isenabled()
+    for argv in (["gen-basis", "--d", "16"], ["gen-mums", "--d", "16", "-o", out],
+                 ["verify", out]):
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = run(capsys, argv)[0]
+        finally:
+            gc.callbacks.remove(count)
+        assert (code, started) == (0, []), argv
 
 
 def test_sweep_isotropic_matches_closed_form(tmp_path, capsys):
@@ -1238,6 +1243,12 @@ def test_random_separable_state_requires_seed(capsys):
     code, _, err = run(capsys, ["gen-state", "--family", "random-separable", "--d", "2"])
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("d", ["0", "-2"])
+def test_random_separable_dimension_below_1_exits_2(capsys, d):
+    assert run(capsys, ["gen-state", "--family", "random-separable", "--d", d, "--seed", "1"]) == (
+        2, "", f"error: dimension must be at least 1, got {d}\n")
 
 
 GEN_MUMS_D3 = ["gen-mums", "--d", "3"]

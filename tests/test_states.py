@@ -219,6 +219,22 @@ def test_random_pure_ground_population_statistics():
     assert abs(vals.mean() - 1.0 / d) <= 5 * se
 
 
+@pytest.mark.parametrize("d", [0, -2])
+@pytest.mark.parametrize("factory", [lambda d: random_pure(d, 1), lambda d: random_separable(d, 8, 1),
+                                     lambda d: random_density(d, 1)],
+                         ids=["pure", "separable", "density"])
+def test_random_factories_refuse_dimension_below_1_before_drawing(monkeypatch, factory, d):
+    monkeypatch.setattr("mumkit.states.Xoshiro256", None)
+    with pytest.raises(ValueError, match=f"^dimension must be at least 1, got {d}$"):
+        factory(d)
+
+
+def test_random_factories_take_dimension_1():
+    assert random_pure(1, 1).shape == (1, 1)
+    for state in (random_separable(1, 8, 1), random_density(1, 1)):
+        assert state.d == 1 and verify_state(state).passed
+
+
 def test_random_separable_single_term_is_pure_product():
     st = random_separable(3, 1, 4)
     purity = complex(np.trace(st.rho @ st.rho)).real
