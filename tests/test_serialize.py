@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import tempfile
+import time
 from unittest import mock
 
 import numpy as np
@@ -533,8 +538,12 @@ MALFORMED_PAYLOADS = {
 
 
 def _reference_load(path):
+    """The plain tree: ``json.load``, a file too deeply nested for it refused as load_path does."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to parse") from None
 
 
 def _outcomes(capsys, path):
@@ -546,13 +555,55 @@ def _outcomes(capsys, path):
     return got
 
 
-@pytest.mark.parametrize("payload", list(MALFORMED_PAYLOADS.values()), ids=list(MALFORMED_PAYLOADS))
-def test_reader_refuses_each_payload_as_the_plain_tree_does(tmp_path, capsys, monkeypatch, payload):
-    text = json.dumps(payload)
-    with pytest.raises(ValueError) as refusal:
-        ser.value_from_obj(json.loads(text))
+def _written(n, pairs):
+    """An n x n matrix object in the encoder's spelling, its entries the pair texts in turn."""
+    entries = "], [".join(pairs[i % len(pairs)] for i in range(n * n))
+    return f'{{"dim": {n}, "entries": [[{entries}]]}}'
+
+
+# A matrix object the reader takes without the decoder: one pair text, repeated
+_W = _written(2, ["0.25, 0.0"])
+# the reader takes 8 of this set's 12 matrices without the decoder
+_MUMS3 = ser.dumps(optimal_mums(3))
+# the fourth matrix of _MUMS3 starts here: cut inside its entries, or after the third
+_FOURTH = [m.start() for m in re.finditer('{"dim"', _MUMS3)][3]
+
+# Every malformed payload above as json.dumps writes it, which spells each
+# matrix object as the encoder does, then texts that no encoder writes.
+REFUSED_TEXTS = {
+    **{k: json.dumps(p) for k, p in MALFORMED_PAYLOADS.items()},
+    "pairs-one-too-many": '{"d": 1, "rho": {"dim": 1, "entries": [[1.0, 0.0], [0.0, 0.0]]}}',
+    "pairs-one-too-few": '{"d": 2, "rho": {"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]]}}',
+    **{f"pairs-{k}-of-one-text": '{"d": 2, "bases": [{"dim": 2, "entries": [['
+                                 + "], [".join(["0.25, 0.0"] * count) + "]]}]}"
+       for k, count in (("3", 3), ("5", 5))},
+    **{f"json-invalid-number-{k}": '{"d": 2, "rho": ' + _written(4, [pair]) + "}"
+       for k, pair in (("plus", "+0.25, 0.0"), ("leading-zero", "00.25, 0.0"),
+                       ("bare-fraction", ".25, 0.0"), ("trailing-dot", "0.25, 0."),
+                       ("underscore", "0.2_5, 0.0"))},
+    "true-entry": '{"d": 1, "rho": {"dim": 1, "entries": [[true, 0.0]]}}',
+    "false-entry": '{"d": 1, "rho": {"dim": 1, "entries": [[1.0, false]]}}',
+    "duplicate-dim": '{"d": 1, "rho": {"dim": 1, "entries": [[1.0, 0.0]], "dim": 2}}',
+    "placeholder-lookalike": '{"d": 1, "rho": {"\\u0000": [[0]]}, "note": ' + _W + "}",
+    "raw-nul": '{"d": 1, "rho": ' + _W + ', "note": "\0"}',
+    "matrix-as-key": "{" + _W + ": 1}",
+    "matrix-as-a-later-key": '{"d": 1, "rho": ' + _W + ", " + _W + ": 1}",
+    "matrix-in-a-string": '{"d": 1, "rho": "' + _W + '"}',
+    "duplicate-rho-last-malformed": '{"d": 1, "rho": ' + _W + ', "rho": {"dim": 1, "entries": [[1.0]]}}',
+    "truncated-in-entries": _MUMS3[:_FOURTH + 80],
+    "truncated-after-a-matrix": _MUMS3[:_FOURTH - 2],
+    "deep-list": "[" * 3000,
+    "deep-in-object": '{"d": 2, "rho": ' + "[" * 3000,
+    "deep-around-a-matrix": "[" * 3000 + _W + "]" * 3000,
+}
+
+
+@pytest.mark.parametrize("text", list(REFUSED_TEXTS.values()), ids=list(REFUSED_TEXTS))
+def test_reader_refuses_each_payload_as_the_plain_tree_does(tmp_path, capsys, monkeypatch, text):
     path = tmp_path / "payload.json"
     path.write_text(text)
+    with pytest.raises(ValueError) as refusal:
+        ser.value_from_obj(_reference_load(path))
     got = _outcomes(capsys, str(path))
     assert got[0] == (2, "", f"error: {refusal.value}\n")
     monkeypatch.setattr(ser, "load_path", _reference_load)
@@ -582,13 +633,108 @@ def test_matrix_object_in_a_scalar_slot_is_quoted_with_float_entries(tmp_path):
         ser.value_from_obj(ser.load_path(path))
 
 
-@pytest.mark.parametrize("value", [gell_mann_basis(4), mub_prime(5), optimal_mums(6),
-                                   random_separable(3, 4, 8)], ids=type)
-def test_reader_loads_what_the_plain_tree_loads(tmp_path, value):
+_WRITTEN_VALUES = [gell_mann_basis(4), mub_prime(5), optimal_mums(6), random_separable(3, 4, 8)]
+_STATE = ser.value_to_obj(isotropic(2, 0.3))
+_STATE_TEXT = ser.dumps(isotropic(2, 0.3))
+_SIGNED_TEXT = '{"d": 4, "bases": [' + _written(4, ["1e400, -0.0", "-0.0, 0.0", "-1e400, 1E-400",
+                                                    "0.0, -0.0"]) + "]}"
+
+# The encoder's texts, which the reader takes without the decoder, then
+# texts it must leave to the decoder in whole or in part.
+LOADED_TEXTS = {
+    **{type(v).__name__: ser.dumps(v) for v in _WRITTEN_VALUES},
+    "signed-zeros-and-1e400": _SIGNED_TEXT,
+    "integer-entries": '{"d": 4, "bases": [' + _written(4, ["1, 0", "0, -0", "0, 0"]) + "]}",
+    "integer-beside-float": '{"d": 4, "bases": [' + _written(4, ["1, -0.0", "0.0, 0.0"]) + "]}",
+    "key-order": json.dumps({"d": 2, "rho": {"entries": _STATE["rho"]["entries"], "dim": 4}}),
+    "compact": json.dumps(_STATE, separators=(",", ":")),
+    "indented": json.dumps(_STATE, indent=4),
+    "extra-whitespace": _STATE_TEXT.replace("], [", "],  [", 1),
+    "nan-and-infinity": '{"d": 4, "bases": [' + _written(4, ["NaN, 0.0", "Infinity, -Infinity"])
+                        + "]}",
+    **{f"space-in-a-pair-{k}": '{"d": 4, "bases": [' + _written(4, [pair]) + "]}"
+       for k, pair in (("before-comma", "0.25 , 0.0"), ("two-after-comma", "0.25,  0.0"))},
+    "nul-in-a-string": '{"note": "\\u0000", ' + _STATE_TEXT[1:],
+    "duplicate-rho": '{"d": 2, "rho": ' + _written(4, ["0.5, 0.0"]) + ', "rho": '
+                     + _written(4, ["0.0625, -0.0"]) + "}",
+    "duplicate-rho-last-in-another-spelling": '{"d": 2, "rho": ' + _written(4, ["0.5, 0.0"])
+                                              + ', "rho": ' + _written(4, ["1, 0"]) + "}",
+}
+
+
+def _bits(value):
+    """A loaded value's type, its JSON text outside its matrices and the bytes of its array."""
+    array = getattr(value, ser._ARRAYS[type(value)])
+    return (type(value), ser.dumps(ser._payload(value, lambda a: None)),
+            array.dtype, array.shape, array.tobytes())
+
+
+@pytest.mark.parametrize("text", list(LOADED_TEXTS.values()), ids=list(LOADED_TEXTS))
+def test_reader_loads_what_the_plain_tree_loads(tmp_path, text):
+    path = tmp_path / "value.json"
+    path.write_text(text)
+    got, want = ser.value_from_obj(ser.load_path(path)), ser.value_from_obj(_reference_load(path))
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("value", _WRITTEN_VALUES, ids=type)
+def test_reader_reads_back_the_encoders_text(tmp_path, value):
     path = tmp_path / "value.json"
     path.write_text(ser.dumps(value))
-    got, want = ser.value_from_obj(ser.load_path(path)), ser.value_from_obj(_reference_load(path))
-    assert ser.dumps(got) == ser.dumps(want) == path.read_text()
+    assert ser.dumps(ser.value_from_obj(ser.load_path(path))) == path.read_text()
+
+
+@pytest.mark.parametrize("text", [ser.dumps(optimal_mums(6)), _STATE_TEXT, _SIGNED_TEXT],
+                         ids=["mums", "state", "signed-zeros-and-1e400"])
+def test_the_encoders_matrices_are_read_without_the_decoder(tmp_path, monkeypatch, text):
+    path = tmp_path / "value.json"
+    path.write_text(text)
+    hooked = []
+    monkeypatch.setattr(ser, "_read_matrix", lambda obj: hooked.append(obj) or obj)
+    got = ser.value_from_obj(ser.load_path(path))
+    assert all("dim" not in obj for obj in hooked) and len(hooked) == 1
+    assert _bits(got) == _bits(ser.value_from_obj(_reference_load(path)))
+
+
+def test_unclosed_matrix_heads_are_searched_in_linear_time(tmp_path):
+    # each head's "]]}" is looked for only up to the next head: 4 s on a
+    # 2-core host when it was looked for to the end of the text, 25 ms now
+    path = tmp_path / "heads.json"
+    path.write_text('{"dim": 1, "entries": [[' * 20000)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="nested too deeply"):
+        ser.load_path(path)
+    assert time.perf_counter() - start < 1.0
+
+
+def _verify_outcome(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["verify", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+# JSON's own characters, and two that no payload holds
+_EDIT_CHARS = '0123456789.-+eE,:[]{}" \\ntrufals\0\xe9'
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_plain_tree_on_each_edit_of_a_payload(data):
+    text = data.draw(st.sampled_from([_MUMS3, _STATE_TEXT]))
+    at = data.draw(st.integers(0, len(text) - 1))
+    edit = data.draw(st.sampled_from(["replace", "delete", "truncate"]))
+    if edit == "replace":
+        text = text[:at] + data.draw(st.sampled_from(_EDIT_CHARS)) + text[at + 1:]
+    else:
+        text = text[:at] + (text[at + 1:] if edit == "delete" else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "edited.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _verify_outcome(path)
+        with mock.patch.object(ser, "load_path", _reference_load):
+            assert got == _verify_outcome(path)
 
 
 def test_reading_the_d16_measurement_set_holds_one_matrix_at_a_time(tmp_path):
