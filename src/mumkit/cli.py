@@ -32,7 +32,7 @@ from .criteria import (
     mum_criterion,
     simulate_counts,
 )
-from .mub import BasisSet, mub_prime, verify_mub
+from .mub import BasisSet, mub_prime, mub_triple_d6, verify_mub
 from .mum import (
     MumSet,
     build_mums,
@@ -431,7 +431,8 @@ def _cmd_detect(args) -> DetectionReport:
     state, p_grid = _state_from_args(args)
     d = state.d
     if args.criterion == "mub":
-        return mub_criterion(state, mub_prime(d), tol=args.tol)
+        # no complete set is known at d = 6; the paper compares with the 2 x 3 product triple
+        return mub_criterion(state, mub_triple_d6() if d == 6 else mub_prime(d), tol=args.tol)
     if args.criterion == "correlation":
         return correlation_criterion(state, tol=args.tol)
     pset = _mums_for(d, kappa=args.kappa, t=args.t, use_max_t=args.max_t)

@@ -8,9 +8,10 @@ same stream on every platform and with every numpy version, so seeded
 expected values frozen into the test suite never drift.
 
 ``uniforms(n)`` takes one of two paths with identical output and final
-state.  Below ``_CROSSOVER`` (256) draws it runs the pure-Python scalar
-loop, which is also the reference the tests hold the other path to.
-From 256 draws on it runs lane-parallel (Blackman & Vigna,
+state.  Below ``_CROSSOVER`` (384) draws it steps the state in a
+pure-Python loop, keeping each step's s0 and s3 in lists, and makes the
+outputs from them in one numpy pass.
+From 384 draws on it runs lane-parallel (Blackman & Vigna,
 arXiv:1805.01407): the state update is linear over GF(2), a 256x256 bit
 matrix T, so the stream is cut into lanes of M consecutive draws (M the
 largest power of two not above sqrt(n) / 2), lane start states are
@@ -49,33 +50,54 @@ _MASK = (1 << 64) - 1
 _INV53 = 2.0 ** -53
 
 # Requests shorter than this many draws take the scalar loop: below it the
-# fixed cost of the lane path (about 0.14 ms, mostly the jumps' numpy
+# fixed cost of the lane path (about 0.10 ms, mostly the jumps' numpy
 # calls) outweighs the loop's per-draw cost.  Lane time over loop time,
 # medians of 15 interleaved runs on a 2-core x86 VM (Python 3.11, numpy
-# 2.4, one BLAS thread; the loop took about 0.78 us per draw there): 1.32
-# at 128 draws, 1.14 at 192, 0.81 at 256, 0.59 at 384, 0.43 at 512, 0.34
-# at 768.
-_CROSSOVER = 256
+# 2.4, one BLAS thread; the loop took about 0.45 us per draw there): 1.82
+# at 128 draws, 1.45 at 192, 1.25 at 256, 1.08 at 320, 0.93 at 384, 0.81
+# at 448, 0.72 at 512, 0.54 at 768.  Both paths give the same bits, so
+# this constant moves no output.
+_CROSSOVER = 384
 
 _R11, _R17, _R19, _R23, _R41, _R45 = (np.uint64(k) for k in (11, 17, 19, 23, 41, 45))
 
 
+def _output_words(s0: np.ndarray, s3: np.ndarray) -> np.ndarray:
+    """The 53-bit words ``(rotl(s0 + s3, 23) + s0) >> 11`` of arrays of states' s0 and s3.
+
+    numpy's uint64 arithmetic wraps modulo 2**64 like the masked scalar
+    update, so each word is exact, and so is its product with 2**-53.
+    """
+    x = s0 + s3
+    raw = x << _R23
+    x >>= _R41
+    raw |= x
+    raw += s0
+    raw >>= _R11
+    return raw
+
+
 def _scalar_uniforms(state: tuple[int, int, int, int], n: int):
-    """The reference loop: n uniforms from ``state``, and the state after them."""
+    """n uniforms from ``state`` by stepping it in Python, and the state after them.
+
+    The loop only steps the state, keeping each step's s0 and s3 as Python
+    ints; :func:`_output_words` then makes all n outputs in one numpy pass.
+    """
+    mask = _MASK
     s0, s1, s2, s3 = state
-    out = np.empty(n)
+    firsts, lasts = [0] * n, [0] * n
     for i in range(n):
-        x = (s0 + s3) & _MASK
-        r = ((((x << 23) | (x >> 41)) & _MASK) + s0) & _MASK
-        out[i] = (r >> 11) * _INV53
-        t = (s1 << 17) & _MASK
+        firsts[i] = s0
+        lasts[i] = s3
+        t = (s1 << 17) & mask
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
-    return out, (s0, s1, s2, s3)
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+    words = _output_words(np.array(firsts, dtype=np.uint64), np.array(lasts, dtype=np.uint64))
+    return words * _INV53, (s0, s1, s2, s3)
 
 
 def _step_lanes(h: np.ndarray) -> None:
@@ -187,13 +209,7 @@ def _lane_uniforms(state: tuple[int, int, int, int], n: int):
         if j:
             h[0] = h[steps]
         _step_lanes(h)
-        s0, s3 = h[:steps, 0], h[:steps, 3]
-        x = s0 + s3
-        raw = x << _R23
-        x >>= _R41
-        raw |= x
-        raw += s0
-        raw >>= _R11
+        raw = _output_words(h[:steps, 0], h[:steps, 3])
         if out is None:
             # numpy buffers each strided operand above (64 KiB), so the
             # output waits until those are freed: one chunk then peaks no
@@ -239,6 +255,8 @@ class Xoshiro256:
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform doubles in [0, 1)."""
         n = operator.index(n)
+        if n < 0:  # [0] * -1 is an empty list, so the loop would draw nothing
+            raise ValueError(f"cannot draw a negative number of uniforms, got {n}")
         draw = _scalar_uniforms if n < _CROSSOVER else _lane_uniforms
         out, (self._s0, self._s1, self._s2, self._s3) = draw(
             (self._s0, self._s1, self._s2, self._s3), n

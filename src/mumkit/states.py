@@ -214,6 +214,16 @@ def random_pure(d: int, seed: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+# random_separable forms its terms' weighted outer products in blocks of
+# fewer than this many complex entries (128 KiB), or of one term where a term
+# is larger: 31 terms at d = 4, 6 at d = 6, 3 at d = 7, one from d = 8 on.
+# Its temporaries then do not grow with k, and they stay below glibc's
+# default mmap threshold (128 KiB) up to d = 8: a larger block was mapped
+# fresh on every call, and touching its pages cost about 85 us of a 150 us
+# build at d = 6, k = 8.
+_TERM_BLOCK_ENTRIES = 2 ** 13
+
+
 def random_separable(d: int, k: int, seed: int) -> BipartiteState:
     """Mixture of k random pure product states with random weights.
 
@@ -222,7 +232,10 @@ def random_separable(d: int, k: int, seed: int) -> BipartiteState:
     same stream, first factor then second.  The stream is two calls: k
     exponentials, then the 2k complex d-vectors in one call, which gives
     the same bits as drawing each vector on its own, since a request of
-    2d normals leaves no Box-Muller spare.
+    2d normals leaves no Box-Muller spare.  The 2k norms, the divides and
+    the k product vectors are one batched pass each, and the weighted outer
+    products one per block of terms; the terms are summed from zero in
+    order, so every state has the bits of the term-by-term loop for d >= 2.
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
@@ -232,15 +245,36 @@ def random_separable(d: int, k: int, seed: int) -> BipartiteState:
     w = gen.exponentials(k)
     w /= w.sum()
     c = gen.complex_normals(2 * k * d).reshape(k, 2, d)
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(k):
-        a = c[i, 0]
-        a /= np.linalg.norm(a)
-        b = c[i, 1]
-        b /= np.linalg.norm(b)
-        v = (a[:, None] * b).ravel()  # a (x) b
-        rho += w[i] * np.outer(v, v.conj())
-    return _make_state(d, rho)
+    return _make_state(d, _pure_product_mixture(w, c))
+
+
+def _pure_product_mixture(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_i w[i] |v_i><v_i| in term order, v_i = a_i (x) b_i for a_i, b_i the rows of c[i].
+
+    c, a (k, 2, d) stack, is normalized in place.  Each norm is
+    sqrt(re . re + im . im), the row-by-column products that
+    ``np.linalg.norm`` takes, here one stacked ``matmul`` per part.  The
+    terms of a block are formed and weighted in one pass each, then added
+    to the sum one by one, as ``rho += term`` added them.
+    """
+    k, _, d = c.shape
+    n = d * d
+    # the sum goes below the temporaries in the heap: with it on top, glibc
+    # handed back fresh pages each call, twice as many page faults at d = 12
+    rho = np.zeros((n, n), dtype=complex)
+    re, im = c.real[..., None, :], c.imag[..., None, :]
+    c /= np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    v = (c[:, 0, :, None] * c[:, 1, None, :]).reshape(k, n)
+    per_block = min(k, max(1, (_TERM_BLOCK_ENTRIES - 1) // (n * n)))
+    block = np.empty((per_block, n, n), dtype=complex)
+    for start in range(0, k, per_block):
+        vs, ws = v[start:start + per_block], w[start:start + per_block]
+        terms = block[:len(vs)]
+        np.multiply(vs[:, :, None], vs.conj()[:, None, :], out=terms)
+        terms *= ws[:, None, None]
+        for term in terms:
+            rho += term
+    return rho
 
 
 def random_density(d: int, seed: int) -> BipartiteState:

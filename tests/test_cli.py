@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropic, j_value
-from mumkit import correlation_criterion, max_entangled
+from mumkit import correlation_criterion, max_entangled, mub_criterion, mub_triple_d6
 from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
 from mumkit import BipartiteState, OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
@@ -121,6 +121,14 @@ FROZEN_ARTIFACTS = {
         "a61d3846fb1cd657ecd996fb22717a687a5ac85cee1c6520d02587fcf5af3664",
     ("gen-state", "--family", "random-separable", "--d", "6", "--seed", "7"):
         "1a3caabe09cee0e5e4f72d710e8a814ce1cc199504169a1e74642ace76f530ad",
+    # frozen before random-separable terms were built in one blocked batch and
+    # the scalar loop made its outputs in numpy: d = 3 draws 8 + 96 uniforms,
+    # both on the scalar loop; d = 10 draws 13 on it and 520 on the lane path
+    # (the CI smoke step pins the d = 10 bytes too)
+    ("gen-state", "--family", "random-separable", "--d", "3", "--k", "8", "--seed", "7"):
+        "f36b9ec48673c44c049c46ec8c291bbe09a766c610c6197799216d6ca54c71ce",
+    ("gen-state", "--family", "random-separable", "--d", "10", "--k", "13", "--seed", "7"):
+        "8b58030bf71ec6c58d8afd23c5313558c46488605b6ff6c70d8e57b6d46bf515",
 }
 BELL_GRID_D3 = [[0.4, 0.2, 0.1], [0.1, 0.05, 0.05], [0.05, 0.025, 0.025]]
 
@@ -183,6 +191,9 @@ FROZEN_DETECT = {
         "7ee9c74835abd16b24d780e11142c2e0d90a353445c653b0dd78562dd9e42f64",
     ("detect", "--criterion", "mub", "--family", "isotropic", "--d", "7", "--alpha", "0.2"):
         "ac5fad9e8f7540ce9b070b7f5576299a598907ac08afce8001c5289c43a15fb4",
+    # the d = 6 comparison on the three product bases of mub_triple_d6
+    ("detect", "--criterion", "mub", "--family", "isotropic", "--d", "6", "--alpha", "0.3"):
+        "d6c2ef6d02e72032bb0947b0369d68f595e2eb575d418ea50633668fdd7f8ec5",
 }
 
 
@@ -568,6 +579,33 @@ def test_composite_mub_request_exits_2(capsys):
     code, _, err = run(capsys, ["gen-mub", "--d", "6"])
     assert code == 2
     assert "composite" in err
+
+
+@pytest.mark.parametrize("d", [4, 8, 9, 10])
+def test_detect_mub_at_a_composite_d_other_than_6_exits_2(capsys, d):
+    code, out, err = run(capsys, ["detect", "--criterion", "mub", "--family", "isotropic",
+                                  "--d", str(d), "--alpha", "0.3"])
+    assert (code, out) == (2, "")
+    assert err == (f"error: no complete MUB construction for composite d={d}; use the mutually "
+                   "unbiased measurement construction (mumkit.mum.build_mums), which exists "
+                   "for every dimension\n")
+
+
+def test_detect_mub_at_d6_measures_the_product_triple(capsys):
+    state = isotropic(6, 0.3)
+    want = mub_criterion(state, mub_triple_d6())
+    assert want.params["m"] == 3
+    argv = ["detect", "--family", "isotropic", "--d", "6", "--alpha", "0.3"]
+    code, stdout, err = run(capsys, argv + ["--criterion", "mub"])
+    assert (code, err) == (0, "")
+    report = json.loads(stdout)
+    assert (report["value"], report["bound"], report["verdict"]) == (
+        want.value, want.bound, "inconclusive")
+    assert (report["value"], report["bound"]) == (1.2499999999999996, 1.3333333333333333)
+    # the measurement criterion flags the same state
+    code, stdout, err = run(capsys, argv + ["--criterion", "mum"])
+    assert (code, err) == (0, "")
+    assert json.loads(stdout)["verdict"] == "entangled"
 
 
 @pytest.mark.parametrize("d", ["1", "0", "-3"])

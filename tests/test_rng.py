@@ -210,6 +210,11 @@ def test_negative_count_is_refused_and_draws_nothing(method, n):
     assert np.array_equal(gen.uniforms(4), Xoshiro256(3).uniforms(4))
 
 
+def test_negative_uniforms_message():
+    with pytest.raises(ValueError, match=r"^cannot draw a negative number of uniforms, got -1$"):
+        Xoshiro256(3).uniforms(-1)
+
+
 def test_exponentials_are_positive():
     e = Xoshiro256(5).exponentials(1000)
     assert e.min() >= 0.0
@@ -263,24 +268,29 @@ def state(gen: Xoshiro256):
     return gen._s0, gen._s1, gen._s2, gen._s3
 
 
-# q*M - 1, q*M, q*M + 1 for lane lengths M = 8 (at the scalar/lane
-# crossover, 256 = 32 * 8, and 768 = 96 * 8), 16 (1024, 2592), 32 (4096,
-# 13952), 64 (16384, 20032) and 128 (100096); 1023, 4095 and 16383 also
-# sit where M doubles.  Past M = 32 the lanes step in chunks of 32 steps,
-# and the last lane's draws end inside one: 14000 draws are one chunk
-# (M = 32, ending at step 16); 65537 four (M = 128, at step 1), 300001
-# eight (M = 256, at step 225) and 10^6 eight (M = 256, at step 64, the
-# end of a chunk).
+# The scalar loop serves every request below the crossover: the edges 0, 1,
+# 2 and 7, the sizes random_separable draws at k = 8 (8 exponentials, then
+# 72, 104, 136 and 200 Gaussian uniforms at d = 2, 3, 4 and 6), 255, 256 and
+# 257, where the lane path began before the loop got faster, and 383 next to
+# the crossover.  Above it, q*M - 1, q*M, q*M + 1 for lane lengths M = 8 (at
+# the scalar/lane crossover, 384 = 48 * 8, and 768 = 96 * 8), 16 (1024,
+# 2592), 32 (4096, 13952), 64 (16384, 20032) and 128 (100096); 1023, 4095
+# and 16383 also sit where M doubles.  Past M = 32 the lanes step in chunks
+# of 32 steps, and the last lane's draws end inside one: 14000 draws are one
+# chunk (M = 32, ending at step 16); 65537 four (M = 128, at step 1), 300001
+# eight (M = 256, at step 225) and 10^6 eight (M = 256, at step 64, the end
+# of a chunk).
 @pytest.mark.parametrize(
     "n",
-    [n + e for n in (rng._CROSSOVER, 768, 1024, 2592, 4096, 13952, 16384, 20032, 100096)
-     for e in (-1, 0, 1)] + [14000, 65537, 300001, 10 ** 6],
+    [0, 1, 2, 7, 8, 72, 104, 136, 200, 255, 256, 257]
+    + [n + e for n in (rng._CROSSOVER, 768, 1024, 2592, 4096, 13952, 16384, 20032, 100096)
+       for e in (-1, 0, 1)] + [14000, 65537, 300001, 10 ** 6],
 )
 def test_uniforms_match_scalar_loop(n):
     for seed in (3, 2**64 - 1):
         gen = Xoshiro256(seed)
         want, final = reference_uniforms(Xoshiro256(seed), n)
-        assert np.array_equal(gen.uniforms(n), want)
+        assert gen.uniforms(n).tobytes() == want.tobytes()
         assert state(gen) == final
 
 

@@ -28,6 +28,8 @@ from mumkit.states import (
     ppt_minima,
 )
 
+from oracles import traced_peak_mib
+
 
 def test_max_entangled_d2_entries():
     rho = max_entangled(2).rho
@@ -263,12 +265,32 @@ def _kron_random_separable(d, k, seed):
     return rho
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 10])
+# The terms are built in blocks of under 2^13 entries, d^4 each: 31 terms a
+# block at d = 4, 13 at d = 5, 6 at d = 6, 3 at d = 7 and one from d = 8 on,
+# so k = 40 crosses block boundaries from d = 4 on, k = 8 and 13 from d = 6.
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 10, 16])
 def test_random_separable_matches_kron_mixture_bitwise(d):
-    for k in (1, 2, 8, 13):
-        for seed in range(150):
+    for k in (1, 2, 8, 13, 40):
+        for seed in range({7: 40, 8: 40, 16: 10}.get(d, 150)):
             rho = random_separable(d, k, seed).rho
             assert rho.tobytes() == _kron_random_separable(d, k, seed).tobytes(), (k, seed)
+
+
+# At d = 1 the batched products run numpy's vector loops, where the
+# term-by-term loop multiplied one-element arrays in scalar code; the two
+# round differently, by a few ulps of 1 at most.
+def test_random_separable_d1_is_the_kron_mixture_to_rounding():
+    for k in (1, 2, 8, 13, 40):
+        for seed in range(40):
+            rho = random_separable(1, k, seed).rho
+            want = _kron_random_separable(1, k, seed)
+            assert np.abs(rho - want).max() <= (k + 4) * np.finfo(float).eps, (k, seed)
+
+
+def test_random_separable_peak_memory_does_not_grow_with_k():
+    # each d = 16 term is a 1 MiB matrix: 64 of them at once would be 64 MiB
+    few, many = (traced_peak_mib(random_separable, 16, k, 1) for k in (8, 64))
+    assert abs(many - few) <= 1.0 and max(few, many) <= 6.0, (few, many)
 
 
 def test_random_separable_draws_in_two_generator_calls(monkeypatch):
