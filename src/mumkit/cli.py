@@ -413,13 +413,12 @@ def _cmd_gen_state(args) -> BipartiteState:
     return _state_from_args(args)[0]
 
 
-_VERIFIERS = {OperatorBasis: verify_orthonormal_basis, BasisSet: verify_mub,
-              MumSet: verify_mums, BipartiteState: verify_state}
-
-
 def _cmd_verify(args) -> VerificationReport:
     value = serialize.value_from_obj(serialize.load_path(args.file))
-    return _VERIFIERS[type(value)](value, args.tol)
+    # looked up per call, so that a verifier rebound on this module is the one called
+    verifiers = {OperatorBasis: verify_orthonormal_basis, BasisSet: verify_mub,
+                 MumSet: verify_mums, BipartiteState: verify_state}
+    return verifiers[type(value)](value, args.tol)
 
 
 def _cmd_detect(args) -> DetectionReport:
@@ -460,7 +459,7 @@ def _cmd_simulate(args) -> dict:
         "j_estimate": float(est.j_estimate),
         "std_error": float(est.std_error),
         "j_exact": float(j_value(state, pset, qset)),
-        "bound": 1.0 + float(pset.kappa),
+        "bound": float(mum_criterion(state, pset, qset, tol=args.tol).bound),
         "kappa": float(pset.kappa),
         "d": int(state.d),
         "shots_per_setting": int(est.shots_per_setting),

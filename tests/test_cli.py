@@ -12,7 +12,7 @@ import pytest
 
 from mumkit import build_mums, conjugate_mums, grouped_gell_mann_basis, isotropic, j_value
 from mumkit import correlation_criterion, max_entangled, mub_criterion, mub_triple_d6
-from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, t_from_kappa
+from mumkit import j_isotropic_closed, kappa_from_t, optimal_kappa, optimal_mums, t_from_kappa
 from mumkit import BipartiteState, OperatorBasis, bell_diagonal, cli, gell_mann_basis, ppt_check, serialize
 from mumkit.cli import CliError, SweepSpec, _build_parser, emit_figure_data, run_cli
 from mumkit.criteria import VERDICT_TOL
@@ -124,7 +124,6 @@ FROZEN_ARTIFACTS = {
     # frozen before random-separable terms were built in one blocked batch and
     # the scalar loop made its outputs in numpy: d = 3 draws 8 + 96 uniforms,
     # both on the scalar loop; d = 10 draws 13 on it and 520 on the lane path
-    # (the CI smoke step pins the d = 10 bytes too)
     ("gen-state", "--family", "random-separable", "--d", "3", "--k", "8", "--seed", "7"):
         "f36b9ec48673c44c049c46ec8c291bbe09a766c610c6197799216d6ca54c71ce",
     ("gen-state", "--family", "random-separable", "--d", "10", "--k", "13", "--seed", "7"):
@@ -139,8 +138,10 @@ def test_generated_artifact_bytes_are_frozen(tmp_path, capsys, argv):
     grid = tmp_path / "p.json"
     grid.write_text(json.dumps(BELL_GRID_D3))
     argv_here = [str(grid) if arg == "GRID" else arg for arg in argv]
-    code, _, err = run(capsys, argv_here + ["-o", str(out)])
-    assert code == 0, err
+    # written twice: the second run writes over the first run's file
+    for _ in range(2):
+        code, _, err = run(capsys, argv_here + ["-o", str(out)])
+        assert code == 0, err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FROZEN_ARTIFACTS[argv]
 
 
@@ -201,6 +202,20 @@ FROZEN_DETECT = {
 def test_verify_report_bytes_are_frozen(tmp_path, capsys, argv):
     out = tmp_path / "artifact.json"
     assert run(capsys, list(argv) + ["-o", str(out)])[0] == 0
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    assert code == 0, err
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_VERIFY[argv]
+
+
+# json.dump keeps the encoder's spelling, which the reader takes without the
+# JSON decoder; python -m json.tool indents the entries, which the decoder reads
+@pytest.mark.parametrize("rewrite", [json.dumps, lambda obj: json.dumps(obj, indent=4) + "\n"],
+                         ids=["json.dump", "json.tool"])
+def test_verify_report_of_a_rewritten_d16_set_is_frozen(tmp_path, capsys, rewrite):
+    argv = ("gen-mums", "--d", "16")
+    out = tmp_path / "m16.json"
+    assert run(capsys, [*argv, "-o", str(out)])[0] == 0
+    out.write_text(rewrite(json.loads(out.read_text())))
     code, stdout, err = run(capsys, ["verify", str(out)])
     assert code == 0, err
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == FROZEN_VERIFY[argv]
@@ -328,6 +343,25 @@ def test_verify_fails_closed_on_non_finite_entry(tmp_path, capsys, argv, corrupt
     if kind != "mub-set":
         # the entry sits on the diagonal, where inf - inf is NaN
         assert report["defects"]["hermiticity"] is None
+
+
+@pytest.mark.parametrize("argv", FAIL_CLOSED_ARGV, ids=lambda argv: argv[0])
+def test_verify_calls_the_verifier_bound_on_the_module_when_it_runs(tmp_path, capsys, monkeypatch,
+                                                                     argv):
+    # a tracer or a test that rebinds a verifier on the module after import
+    # must see verify call it
+    out = tmp_path / "artifact.json"
+    assert run(capsys, argv + ["-o", str(out)])[0] == 0
+    verifiers = {"gen-basis": "verify_orthonormal_basis", "gen-mub": "verify_mub",
+                 "gen-mums": "verify_mums", "gen-state": "verify_state"}
+    calls = []
+    for name in verifiers.values():
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda value, tol, name=name, real=real:
+                            calls.append(name) or real(value, tol))
+    code, stdout, err = run(capsys, ["verify", str(out)])
+    assert (code, err) == (0, "") and json.loads(stdout)["passed"] is True
+    assert calls == [verifiers[argv[0]]]
 
 
 def test_detect_isotropic_d6_entangled(capsys):
@@ -659,6 +693,12 @@ def test_seed_of_2_to_the_64_or_more_exits_2(capsys):
                         "--seed", str(2 ** 64 - 1)])[0] == 0
 
 
+def _last_matrix_in_the_d_slot(mums):
+    obj = serialize.value_to_obj(mums)
+    obj["d"] = obj["elements"][-1].pop()
+    return obj
+
+
 MALFORMED_PAYLOADS = {
     "state-null-entry": {"d": 1, "rho": {"dim": 1, "entries": [[None, 0.0]]}},
     "state-string-entry": {"d": 1, "rho": {"dim": 1, "entries": [["0.3", 0.0]]}},
@@ -699,6 +739,9 @@ MALFORMED_PAYLOADS = {
         for (n, b), el in zip([(2, 1), (1, 1)] + list(gell_mann_basis(3).labels[2:]),
                               gell_mann_basis(3).elements)
     ],
+    # a measurement set's last matrix moved into its "d" slot, where the
+    # reader has already made it an array
+    "mums-d-is-a-matrix": _last_matrix_in_the_d_slot(optimal_mums(3)),
 }
 
 
@@ -727,6 +770,8 @@ def test_verify_malformed_payload_exits_2(tmp_path, capsys, payload):
     ("basis-item-no-n", "error: operator basis item 0 is missing the key 'n'\n"),
     ("basis-item-no-b", "error: operator basis item 0 is missing the key 'b'\n"),
     ("basis-item-no-matrix", "error: operator basis item 0 is missing the key 'matrix'\n"),
+    pytest.param("mums-d-is-a-matrix", "error: d must be an integer, got "
+                 f"{MALFORMED_PAYLOADS['mums-d-is-a-matrix']['d']!r}\n", id="mums-d-is-a-matrix"),
 ])
 def test_verify_malformed_payload_names_the_problem(tmp_path, capsys, name, message):
     bad = tmp_path / "bad.json"
@@ -1351,7 +1396,8 @@ ISO3 = ["--family", "isotropic", "--d", "3", "--alpha", "0.3"]
 WRITERS = {
     "gen-basis": (["gen-basis", "--d", "3"], [(["gen-basis", "--d", "1"], 2)]),
     "gen-mub": (["gen-mub", "--d", "3"], [(["gen-mub", "--d", "4"], 2)]),
-    "gen-mums": (GEN_MUMS_D3, [(GEN_MUMS_D3 + ["--t", "nan"], 2)]),
+    "gen-mums": (GEN_MUMS_D3, [(GEN_MUMS_D3 + ["--t", "nan"], 2),
+                               (["gen-mums", "--d", "4", "--t", "0.5"], 2)]),
     "gen-state": (["gen-state", *ISO3], [(["gen-state", *ISO3, "--seed", "9"], 2)]),
     "detect": (["detect", *ISO3], [(["detect", *ISO3, "--seed", "9"], 2),
                                    (["detect", "--state", "NAN"], 3)]),
@@ -1392,6 +1438,10 @@ def test_refused_run_leaves_an_existing_output_file_as_it_was(tmp_path, capsys, 
     argv = [str(state) if arg == "NAN" else arg for arg in argv]
     _refusal(capsys, argv + ["-o", str(out)], code, "error: ")
     assert out.read_bytes() == b"old contents\n"
+    # and creates no file where there was none
+    new = tmp_path / "new"
+    _refusal(capsys, argv + ["-o", str(new)], code, "error: ")
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -1485,6 +1535,10 @@ def test_simulate_samples_a_state_file_within_tol_of_psd(tmp_path, capsys):
     code, stdout, err = run(capsys, ["--tol", "1e-6", *argv])
     assert (code, err) == (0, "")
     assert np.array(json.loads(stdout)["counts"]).sum(axis=(1, 2)).tolist() == [10] * 4
+    # and verify and detect accept it there too
+    for other in (["verify", str(path)], ["detect", "--state", str(path)]):
+        code, _, err = run(capsys, ["--tol", "1e-6", *other])
+        assert (code, err) == (0, ""), other
     # at the default 1e-9 the file fails its check
     _refusal(capsys, argv, 3, "error: verification failed: ")
 
@@ -1512,6 +1566,8 @@ def test_oracle_ppt_judges_a_state_file_by_its_hermitian_part(tmp_path, capsys, 
         code, stdout, err = run(capsys, ["--tol", "1e-6", *argv, "--state", str(path)])
         assert (code, err) == (0, ""), argv
         assert run(capsys, ["--tol", "1e-6", *argv, "--state", str(hermitian)]) == (0, stdout, "")
+    code, _, err = run(capsys, ["--tol", "1e-6", "verify", str(path)])
+    assert (code, err) == (0, "")
     # the library oracle refuses the same matrix, and the CLI does at a tighter --tol
     with pytest.raises(ValueError, match="not Hermitian"):
         ppt_check(BipartiteState(3, rho))
@@ -1519,7 +1575,10 @@ def test_oracle_ppt_judges_a_state_file_by_its_hermitian_part(tmp_path, capsys, 
     assert (code, stdout) == (3, "") and err.startswith("error: verification failed: ")
 
 
-@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("tol", [pytest.param([f"--tol={t}"], id=t)
+                                 for t in ("-1", "-1e-300", "nan", "inf", "-inf")]
+                         # argparse reads "-1" and "nan" standing alone as the value
+                         + [pytest.param(["--tol", t], id=f"--tol {t}") for t in ("-1", "nan")])
 @pytest.mark.parametrize("argv", [
     ["detect", "--family", "isotropic", "--d", "3", "--alpha", "0"],
     ["sweep", "--family", "isotropic", "--d", "2", "--param", "0:0.2:0.1"],
@@ -1533,8 +1592,9 @@ def test_tol_outside_0_inf_is_refused_before_any_output(tmp_path, capsys, argv, 
     argv = [str(mums) if arg == "MUMS" else arg for arg in argv]
     out = tmp_path / "out.txt"
     output = [] if argv[0] == "verify" else ["-o", str(out)]
-    err = _refusal(capsys, [f"--tol={tol}", *argv, *output], 2, "error: --tol")
-    assert err == f"error: --tol must be finite and non-negative, got {float(tol)!r}\n"
+    err = _refusal(capsys, [*tol, *argv, *output], 2, "error: --tol")
+    value = float(tol[-1].removeprefix("--tol="))
+    assert err == f"error: --tol must be finite and non-negative, got {value!r}\n"
     assert not out.exists()
 
 
